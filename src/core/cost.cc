@@ -37,7 +37,7 @@ loopLatency(const LoopRegistryEntry &entry)
 double
 LatencyCost::nodeCost(const eg::ENode &node) const
 {
-    std::string name = sl::opNameOf(node.op);
+    std::string_view name = sl::opNameOf(node.op);
     if (name == "affine.for") {
         auto it = registry_.find(sl::loopIdOf(node.op));
         if (it != registry_.end())
@@ -62,7 +62,7 @@ LatencyCost::nodeCost(const eg::ENode &node) const
     return 0; // Eqn 2: everything else is free in phase 1
 }
 
-std::optional<std::string>
+std::optional<std::string_view>
 LatencyCost::dependencyKey(const eg::ENode &node) const
 {
     if (sl::opNameOf(node.op) == "affine.for")

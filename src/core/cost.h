@@ -13,6 +13,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "egraph/extract.h"
@@ -40,7 +41,7 @@ struct LoopRegistryEntry
 class LoopRegistry
 {
   public:
-    using Map = std::map<std::string, LoopRegistryEntry>;
+    using Map = std::map<std::string, LoopRegistryEntry, std::less<>>;
     using const_iterator = Map::const_iterator;
 
     /** Mutable (inserting) access; records the key in the touch log. */
@@ -56,7 +57,7 @@ class LoopRegistry
     {
         return map_.at(id);
     }
-    const_iterator find(const std::string &id) const
+    const_iterator find(std::string_view id) const
     {
         return map_.find(id);
     }
@@ -94,7 +95,7 @@ class LatencyCost : public eg::CostModel
         return registry_.touchedSince(since);
     }
     /** affine.for nodes read their loop's registry entry. */
-    std::optional<std::string>
+    std::optional<std::string_view>
     dependencyKey(const eg::ENode &node) const override;
 
     /** Trip-count estimate used when N is not statically known. */

@@ -50,7 +50,7 @@ isIfNode(Symbol symbol)
 bool
 isStatementRoot(Symbol symbol)
 {
-    std::string name = sl::opNameOf(symbol);
+    std::string_view name = sl::opNameOf(symbol);
     return name == "seq" || name == "affine.for" || name == "scf.while";
 }
 

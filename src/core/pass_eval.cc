@@ -37,7 +37,7 @@ void
 collectArgNames(const TermPtr &term, std::set<std::string> &out)
 {
     if (auto arg = sl::decodeArg(term->op()))
-        out.insert(arg->first);
+        out.emplace(arg->first);
     for (const auto &child : term->children())
         collectArgNames(child, out);
 }
@@ -47,8 +47,11 @@ TermPtr
 renameArgsToVars(const TermPtr &term, const std::set<std::string> &vars)
 {
     if (auto arg = sl::decodeArg(term->op())) {
-        if (arg->second.isIndex() && vars.count(arg->first))
-            return eg::makeTerm(sl::encodeVar(arg->first));
+        if (arg->second.isIndex()) {
+            std::string name(arg->first);
+            if (vars.count(name))
+                return eg::makeTerm(sl::encodeVar(name));
+        }
     }
     if (term->isLeaf())
         return term;
@@ -276,7 +279,7 @@ void
 collectLoopIds(const TermPtr &term, std::vector<std::string> &out)
 {
     if (sl::isForSymbol(term->op()))
-        out.push_back(sl::loopIdOf(term->op()));
+        out.emplace_back(sl::loopIdOf(term->op()));
     for (const auto &child : term->children())
         collectLoopIds(child, out);
 }

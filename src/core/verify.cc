@@ -28,8 +28,8 @@ typeOfValueTerm(const TermPtr &term)
         return ir::Type::index();
     if (sl::isStatementSymbol(op))
         return ir::Type::none();
-    std::string name = sl::opNameOf(op);
-    auto fields = sl::fieldsOf(op);
+    auto fields = eg::splitSymbol(op).subspan(1);
+    std::string_view name = sl::opNameOf(op);
     if (name == "arith.cmpi" || name == "arith.cmpf")
         return ir::Type::i1();
     if (fields.size() == 2)
@@ -308,6 +308,7 @@ checkModuleEquivalence(const ir::Module &lhs, const ir::Module &rhs,
                                lhs_body.arg(i).type());
     }
 
+    int conclusive = 0;
     for (int run = 0; run < options.runs; ++run) {
         // Same discipline as checkTermEquivalence: a canceled context
         // stops before the next run, even when every run so far was
@@ -354,9 +355,15 @@ checkModuleEquivalence(const ir::Module &lhs, const ir::Module &rhs,
         ScopedInterpCharge charge(options.exec,
                                   bufferBytes(lhs_buffers) +
                                       bufferBytes(rhs_buffers));
+        // The input module itself trapping on this workload (random
+        // indices out of range, say) leaves nothing to compare against:
+        // the run is inconclusive, not a FAIL. Only a trap of the
+        // optimized module alone is a FAIL.
+        bool input_ran = false;
         try {
             ir::interpret(lhs, func_name, std::move(lhs_args),
                           interp_options);
+            input_ran = true;
             ir::interpret(rhs, func_name, std::move(rhs_args),
                           interp_options);
         } catch (const ir::InterpError &err) {
@@ -369,10 +376,14 @@ checkModuleEquivalence(const ir::Module &lhs, const ir::Module &rhs,
                     *diagnostic = "<inconclusive>";
                 return true;
             }
+            if (!input_ran)
+                continue;
             if (diagnostic)
                 *diagnostic = std::string("trap: ") + err.what();
             return false;
         } catch (const FatalError &err) {
+            if (!input_ran)
+                continue;
             if (diagnostic)
                 *diagnostic = std::string("trap: ") + err.what();
             return false;
@@ -392,7 +403,10 @@ checkModuleEquivalence(const ir::Module &lhs, const ir::Module &rhs,
             }
             return false;
         }
+        ++conclusive;
     }
+    if (conclusive == 0 && diagnostic)
+        *diagnostic = "<inconclusive>";
     return true;
 }
 

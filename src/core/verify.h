@@ -61,7 +61,12 @@ bool checkTermEquivalence(const eg::TermPtr &lhs, const eg::TermPtr &rhs,
                           const VerifyOptions &options = {},
                           std::string *diagnostic = nullptr);
 
-/** Check two modules' functions on matched random workloads. */
+/**
+ * Check two modules' functions on matched random workloads. `lhs` is the
+ * reference (the input program): a run where it traps is inconclusive,
+ * while a run where only `rhs` traps is a failure. Accepts with
+ * diagnostic "<inconclusive>" when no run was conclusive.
+ */
 bool checkModuleEquivalence(const ir::Module &lhs, const ir::Module &rhs,
                             const std::string &func_name,
                             const VerifyOptions &options = {},

@@ -721,7 +721,10 @@ CostBoundAnalysis::recomputeClass(const EGraph &egraph, EClassId id) const
     const EClass &cls = egraph.eclass(id);
     for (const ENode &node : cls.nodes) {
         if (auto key = model_.dependencyKey(node)) {
-            std::vector<EClassId> &dependents = deps_[*key];
+            auto it = deps_.find(*key);
+            if (it == deps_.end())
+                it = deps_.try_emplace(std::string(*key)).first;
+            std::vector<EClassId> &dependents = it->second;
             if (std::find(dependents.begin(), dependents.end(), id) ==
                 dependents.end())
                 dependents.push_back(id);

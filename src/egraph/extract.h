@@ -32,7 +32,9 @@
 #ifndef SEER_EGRAPH_EXTRACT_H_
 #define SEER_EGRAPH_EXTRACT_H_
 
+#include <functional>
 #include <limits>
+#include <string_view>
 #include <unordered_map>
 
 #include "egraph/analysis.h"
@@ -86,8 +88,9 @@ class CostModel
     }
 
     /** The external-input key `node`'s self-cost reads, when any (e.g.
-     *  the loop id of an affine.for node). */
-    virtual std::optional<std::string>
+     *  the loop id of an affine.for node). The view must outlive the
+     *  model; a view into an interned symbol's text always does. */
+    virtual std::optional<std::string_view>
     dependencyKey(const ENode &node) const
     {
         (void)node;
@@ -197,7 +200,18 @@ class CostBoundAnalysis final : public Analysis
     mutable std::vector<EClassId> pending_;
     /** External-input key -> classes whose nodes read it (appended at
      *  recompute; stale/duplicate entries are tolerated). */
-    mutable std::unordered_map<std::string, std::vector<EClassId>> deps_;
+    struct KeyHash
+    {
+        using is_transparent = void;
+        size_t
+        operator()(std::string_view key) const
+        {
+            return std::hash<std::string_view>()(key);
+        }
+    };
+    mutable std::unordered_map<std::string, std::vector<EClassId>, KeyHash,
+                               std::equal_to<>>
+        deps_;
     mutable uint64_t model_revision_ = 0;
     mutable uint64_t recomputes_ = 0;
 };

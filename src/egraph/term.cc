@@ -131,24 +131,6 @@ parseTerm(std::string_view text)
     return SExprParser(text).parse();
 }
 
-std::vector<std::string>
-splitSymbol(Symbol symbol)
-{
-    std::vector<std::string> fields;
-    const std::string &text = symbol.str();
-    size_t pos = 0;
-    while (true) {
-        size_t colon = text.find(':', pos);
-        if (colon == std::string::npos) {
-            fields.push_back(text.substr(pos));
-            break;
-        }
-        fields.push_back(text.substr(pos, colon - pos));
-        pos = colon + 1;
-    }
-    return fields;
-}
-
 Symbol
 joinSymbol(const std::vector<std::string> &fields)
 {

@@ -12,7 +12,9 @@
 #define SEER_EGRAPH_TERM_H_
 
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/symbol.h"
@@ -57,8 +59,14 @@ TermPtr makeTerm(std::string_view op, std::vector<TermPtr> children = {});
 /** Parse an S-expression, e.g. "(arith.addi:i32 var:a const:1:i32)". */
 TermPtr parseTerm(std::string_view text);
 
-/** Split a symbol of the form "a:b:c" into fields. */
-std::vector<std::string> splitSymbol(Symbol symbol);
+/** The fields of a symbol of the form "a:b:c": views split once, when
+ *  the symbol was interned (Symbol::fields), valid for the process
+ *  lifetime. */
+inline std::span<const std::string_view>
+splitSymbol(Symbol symbol)
+{
+    return symbol.fields();
+}
 
 /** Join fields into a symbol. */
 Symbol joinSymbol(const std::vector<std::string> &fields);

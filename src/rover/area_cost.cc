@@ -6,33 +6,47 @@
 #include "rover/rover.h"
 
 #include <cmath>
+#include <span>
+#include <string_view>
 
-#include "ir/parser.h"
 #include "seerlang/encoding.h"
-#include "support/error.h"
 
 namespace seer::rover {
 
 namespace {
 
-/** Bitwidth encoded in a symbol's type field; 0 when not applicable. */
+/**
+ * Bitwidth encoded in a symbol's type field; 0 when not applicable.
+ * Agrees with ir::parseType(type_field).bitwidth() on every scalar
+ * spelling (iN for N in 1..64, index, f64) and is 0 wherever that parse
+ * fails or yields a non-scalar, without building a Type or throwing:
+ * this runs on every node-cost call.
+ */
 unsigned
-widthOf(const std::string &type_field)
+widthOf(std::string_view type_field)
 {
-    try {
-        ir::Type type = ir::parseType(type_field);
-        if (type.isScalar())
-            return type.bitwidth();
-    } catch (const FatalError &) {
+    if (type_field == "index" || type_field == "f64")
+        return 64;
+    if (type_field.size() < 2 || type_field[0] != 'i')
+        return 0;
+    unsigned width = 0;
+    for (char c : type_field.substr(1)) {
+        if (c < '0' || c > '9')
+            return 0;
+        width = width * 10 + static_cast<unsigned>(c - '0');
+        if (width > 64)
+            return 0;
     }
-    return 0;
+    return width;
 }
 
+/** An integer or float literal leaf (the shape decodeIntConst and
+ *  decodeFloatConst accept), tested without parsing the literal. */
 bool
-isConstLeaf(const eg::ENode &node)
+isConstLeaf(std::span<const std::string_view> fields)
 {
-    return sl::decodeIntConst(node.op).has_value() ||
-           sl::decodeFloatConst(node.op).has_value();
+    return fields.size() == 3 &&
+           (fields[0] == "const" || fields[0] == "constf");
 }
 
 } // namespace
@@ -41,8 +55,8 @@ double
 RoverAreaCost::costWith(const eg::EGraph *egraph,
                         const eg::ENode &node) const
 {
-    std::string name = sl::opNameOf(node.op);
-    auto fields = sl::fieldsOf(node.op);
+    auto fields = eg::splitSymbol(node.op).subspan(1);
+    std::string_view name = sl::opNameOf(node.op);
 
     // Leaves and structure.
     if (name == "const" || name == "constf" || name == "arg" ||
@@ -118,8 +132,9 @@ RoverAreaCost::costWith(const eg::EGraph *egraph,
 double
 AnalysisFriendlyCost::nodeCost(const eg::ENode &node) const
 {
-    std::string name = sl::opNameOf(node.op);
-    if (isConstLeaf(node) || name == "arg" || name == "var")
+    auto fields = eg::splitSymbol(node.op);
+    std::string_view name = fields[0];
+    if (isConstLeaf(fields) || name == "arg" || name == "var")
         return 0;
     // Affine material: cheap, so extraction surfaces it.
     if (name == "arith.addi" || name == "arith.subi" ||

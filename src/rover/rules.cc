@@ -355,8 +355,8 @@ roverAnalysisHooks()
     };
     hooks.fold = [](Symbol symbol, const std::vector<int64_t> &args)
         -> std::optional<Symbol> {
-        std::string name = sl::opNameOf(symbol);
-        auto fields = sl::fieldsOf(symbol);
+        std::string_view name = sl::opNameOf(symbol);
+        auto fields = eg::splitSymbol(symbol).subspan(1);
         if (fields.size() != 1 || args.size() != 2)
             return std::nullopt;
         ir::Type type;

@@ -1,7 +1,8 @@
 #include "seerlang/canonical.h"
 
-#include <map>
-#include <string>
+#include <optional>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "seerlang/encoding.h"
@@ -13,18 +14,29 @@ using eg::TermPtr;
 
 namespace {
 
-/** Bound-name environment: name -> stack of binder numbers. */
-using Env = std::map<std::string, std::vector<uint64_t>>;
+/** Bound-name environment: the binders in scope, innermost last. The
+ *  names are views into interned symbol text. */
+using Env = std::vector<std::pair<std::string_view, uint64_t>>;
 
-bool
-isForWithBinder(Symbol op, std::string *iv_name)
+/** Binder number of the innermost binding of `name`; nullopt if free. */
+std::optional<uint64_t>
+lookup(const Env &env, std::string_view name)
+{
+    for (auto it = env.rbegin(); it != env.rend(); ++it) {
+        if (it->first == name)
+            return it->second;
+    }
+    return std::nullopt;
+}
+
+/** The iv name an affine.for symbol binds; nullopt for other symbols. */
+std::optional<std::string_view>
+forBinder(Symbol op)
 {
     auto fields = eg::splitSymbol(op);
     if (fields.size() != 3 || fields[0] != "affine.for")
-        return false;
-    if (iv_name)
-        *iv_name = fields[1];
-    return true;
+        return std::nullopt;
+    return fields[1];
 }
 
 uint64_t
@@ -33,8 +45,7 @@ hashRec(const TermPtr &term, Env &env, uint64_t &binder_count)
     Symbol op = term->op();
     uint64_t hash = kHashSeed;
 
-    std::string iv_name;
-    if (isForWithBinder(op, &iv_name)) {
+    if (auto iv_name = forBinder(op)) {
         // Binder: op name + binder number stand in for the iv name and
         // the loop id. lb/ub/step are evaluated outside the binding;
         // only the body (child 3) sees the iv.
@@ -49,18 +60,17 @@ hashRec(const TermPtr &term, Env &env, uint64_t &binder_count)
                     hash, hashRec(term->child(i), env, binder_count));
             }
         }
-        env[iv_name].push_back(binder);
+        env.emplace_back(*iv_name, binder);
         hash = hashCombine(
             hash, hashRec(term->child(body_index), env, binder_count));
-        env[iv_name].pop_back();
+        env.pop_back();
         return hash;
     }
 
     if (auto var = decodeVar(op)) {
-        auto it = env.find(*var);
-        if (it != env.end() && !it->second.empty()) {
+        if (auto binder = lookup(env, *var)) {
             hash = hashString("%bvar", hash);
-            return hashValue(it->second.back(), hash);
+            return hashValue(*binder, hash);
         }
         // Free variable: semantic payload, hash by name.
     }
@@ -78,12 +88,11 @@ alphaRec(const TermPtr &a, const TermPtr &b, Env &env_a, Env &env_b,
 {
     if (a->arity() != b->arity())
         return false;
-    std::string iv_a, iv_b;
-    bool for_a = isForWithBinder(a->op(), &iv_a);
-    bool for_b = isForWithBinder(b->op(), &iv_b);
-    if (for_a != for_b)
+    auto iv_a = forBinder(a->op());
+    auto iv_b = forBinder(b->op());
+    if (iv_a.has_value() != iv_b.has_value())
         return false;
-    if (for_a) {
+    if (iv_a) {
         if (a->arity() < 1)
             return false;
         size_t body_index = a->arity() - 1;
@@ -95,27 +104,25 @@ alphaRec(const TermPtr &a, const TermPtr &b, Env &env_a, Env &env_b,
                 return false;
         }
         uint64_t binder = binder_count++;
-        env_a[iv_a].push_back(binder);
-        env_b[iv_b].push_back(binder);
+        env_a.emplace_back(*iv_a, binder);
+        env_b.emplace_back(*iv_b, binder);
         bool ok = alphaRec(a->child(body_index), b->child(body_index),
                            env_a, env_b, binder_count);
-        env_a[iv_a].pop_back();
-        env_b[iv_b].pop_back();
+        env_a.pop_back();
+        env_b.pop_back();
         return ok;
     }
     auto var_a = decodeVar(a->op());
     auto var_b = decodeVar(b->op());
-    if (static_cast<bool>(var_a) != static_cast<bool>(var_b))
+    if (var_a.has_value() != var_b.has_value())
         return false;
     if (var_a) {
-        auto it_a = env_a.find(*var_a);
-        auto it_b = env_b.find(*var_b);
-        bool bound_a = it_a != env_a.end() && !it_a->second.empty();
-        bool bound_b = it_b != env_b.end() && !it_b->second.empty();
-        if (bound_a != bound_b)
+        auto bound_a = lookup(env_a, *var_a);
+        auto bound_b = lookup(env_b, *var_b);
+        if (bound_a.has_value() != bound_b.has_value())
             return false;
         if (bound_a)
-            return it_a->second.back() == it_b->second.back();
+            return *bound_a == *bound_b;
         return *var_a == *var_b; // free: names are payload
     }
     if (a->op() != b->op())

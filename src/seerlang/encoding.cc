@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 
 #include "ir/parser.h"
 #include "support/error.h"
@@ -65,7 +67,7 @@ decodeIntConst(Symbol symbol)
     auto fields = splitSymbol(symbol);
     if (fields.size() != 3 || fields[0] != "const")
         return std::nullopt;
-    return std::make_pair(std::stoll(fields[1]),
+    return std::make_pair(std::stoll(std::string(fields[1])),
                           ir::parseType(fields[2]));
 }
 
@@ -75,7 +77,9 @@ decodeFloatConst(Symbol symbol)
     auto fields = splitSymbol(symbol);
     if (fields.size() != 3 || fields[0] != "constf")
         return std::nullopt;
-    return std::strtod(fields[1].c_str(), nullptr);
+    // The ':' after the literal in the interned text ends it the way a
+    // terminating NUL would: no strtod syntax contains a ':'.
+    return std::strtod(fields[1].data(), nullptr);
 }
 
 Symbol
@@ -84,7 +88,7 @@ encodeArg(const std::string &name, ir::Type type)
     return joinSymbol({"arg", name, type.str()});
 }
 
-std::optional<std::pair<std::string, ir::Type>>
+std::optional<std::pair<std::string_view, ir::Type>>
 decodeArg(Symbol symbol)
 {
     auto fields = splitSymbol(symbol);
@@ -99,7 +103,7 @@ encodeVar(const std::string &name)
     return joinSymbol({"var", name});
 }
 
-std::optional<std::string>
+std::optional<std::string_view>
 decodeVar(Symbol symbol)
 {
     auto fields = splitSymbol(symbol);
@@ -117,18 +121,10 @@ encodeOp(const std::string &op_name,
     return joinSymbol(all);
 }
 
-std::string
+std::string_view
 opNameOf(Symbol symbol)
 {
     return splitSymbol(symbol)[0];
-}
-
-std::vector<std::string>
-fieldsOf(Symbol symbol)
-{
-    auto fields = splitSymbol(symbol);
-    fields.erase(fields.begin());
-    return fields;
 }
 
 std::string
@@ -185,7 +181,7 @@ isForSymbol(Symbol symbol)
     return opNameOf(symbol) == "affine.for";
 }
 
-std::string
+std::string_view
 loopIdOf(Symbol symbol)
 {
     auto fields = splitSymbol(symbol);
@@ -221,7 +217,7 @@ funcSymbol(const std::string &name)
 bool
 isStatementSymbol(Symbol symbol)
 {
-    std::string op = opNameOf(symbol);
+    std::string_view op = opNameOf(symbol);
     return op == "seq" || op == "nop" || op == "scf.if" ||
            op == "scf.while" || op == "affine.for" ||
            op == "memref.store" || op == "memref.load" ||

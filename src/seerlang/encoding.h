@@ -23,6 +23,11 @@
  *   nop                     empty statement
  *   func:name               function root (children: body)
  *
+ * Every decoder below reads the fields the interner split once, when the
+ * symbol was first interned (Symbol::fields); none re-splits the text.
+ * Returned views point into the interned text and are valid for the
+ * lifetime of the process.
+ *
  * Memory operations carry a unique tag so that two textually identical
  * accesses at different program points can never be hash-consed together
  * (the paper instead assumes a dependence between every pair of memory
@@ -32,6 +37,7 @@
 #define SEER_SEERLANG_ENCODING_H_
 
 #include <optional>
+#include <string_view>
 
 #include "egraph/term.h"
 #include "ir/type.h"
@@ -52,10 +58,11 @@ std::optional<double> decodeFloatConst(Symbol symbol);
 // --- Leaves -------------------------------------------------------------
 
 Symbol encodeArg(const std::string &name, ir::Type type);
-std::optional<std::pair<std::string, ir::Type>> decodeArg(Symbol symbol);
+std::optional<std::pair<std::string_view, ir::Type>>
+decodeArg(Symbol symbol);
 
 Symbol encodeVar(const std::string &name);
-std::optional<std::string> decodeVar(Symbol symbol);
+std::optional<std::string_view> decodeVar(Symbol symbol);
 
 // --- Value ops ----------------------------------------------------------
 
@@ -63,11 +70,9 @@ std::optional<std::string> decodeVar(Symbol symbol);
 Symbol encodeOp(const std::string &op_name,
                 const std::vector<std::string> &fields);
 
-/** The IR op name prefix of a symbol ("arith.addi" of "arith.addi:i32"). */
-std::string opNameOf(Symbol symbol);
-
-/** Fields after the op name. */
-std::vector<std::string> fieldsOf(Symbol symbol);
+/** The IR op name prefix of a symbol ("arith.addi" of "arith.addi:i32").
+ *  The fields after it are eg::splitSymbol(symbol).subspan(1). */
+std::string_view opNameOf(Symbol symbol);
 
 // --- Tagged memory / control symbols -----------------------------------
 
@@ -124,7 +129,7 @@ Symbol encodeWhile(const std::string &tag);
 bool isForSymbol(Symbol symbol);
 
 /** Loop id field of an affine.for symbol. */
-std::string loopIdOf(Symbol symbol);
+std::string_view loopIdOf(Symbol symbol);
 
 /** Structural symbols. */
 Symbol seqSymbol();

@@ -15,17 +15,21 @@ using eg::TermPtr;
 
 namespace {
 
+/** Names are views into interned symbol text. */
 void
-collectFreeLeaves(const TermPtr &term, std::set<std::string> &bound_vars,
-                  std::map<std::string, Type> &args,
-                  std::set<std::string> &free_vars)
+collectFreeLeaves(const TermPtr &term,
+                  std::set<std::string_view> &bound_vars,
+                  std::map<std::string_view, Type> &args,
+                  std::set<std::string_view> &free_vars)
 {
     Symbol op = term->op();
     if (auto arg = decodeArg(op)) {
         auto [name, type] = *arg;
         auto it = args.find(name);
-        if (it != args.end() && !(it->second == type))
-            fatal("SeerLang: arg '" + name + "' used at two types");
+        if (it != args.end() && !(it->second == type)) {
+            fatal("SeerLang: arg '" + std::string(name) +
+                  "' used at two types");
+        }
         args.emplace(name, type);
         return;
     }
@@ -34,10 +38,8 @@ collectFreeLeaves(const TermPtr &term, std::set<std::string> &bound_vars,
             free_vars.insert(*var);
         return;
     }
-    bool is_for = isForSymbol(op);
-    std::string iv;
-    if (is_for) {
-        iv = eg::splitSymbol(op)[1];
+    if (isForSymbol(op)) {
+        std::string_view iv = eg::splitSymbol(op)[1];
         // Bounds and step are outside the iv scope.
         for (size_t i = 0; i < 3; ++i) {
             collectFreeLeaves(term->child(i), bound_vars, args,
@@ -98,14 +100,15 @@ class Emitter
     }
 
     Value
-    lookupName(const std::string &name)
+    lookupName(std::string_view name)
     {
         for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
             auto found = it->find(name);
             if (found != it->end())
                 return found->second;
         }
-        fatal("SeerLang emission: unbound name '" + name + "'");
+        fatal("SeerLang emission: unbound name '" + std::string(name) +
+              "'");
     }
 
     std::optional<Value>
@@ -123,7 +126,7 @@ class Emitter
     emitStatement(const TermPtr &term, OpBuilder &builder)
     {
         Symbol op = term->op();
-        std::string name = opNameOf(op);
+        std::string_view name = opNameOf(op);
         if (name == "nop")
             return;
         if (name == "seq") {
@@ -151,14 +154,14 @@ class Emitter
             emitWhile(term, builder);
             return;
         }
-        fatal("SeerLang emission: '" + name +
+        fatal("SeerLang emission: '" + std::string(name) +
               "' is not a statement operator");
     }
 
     void
     emitStore(const TermPtr &term, OpBuilder &builder)
     {
-        std::string tag = fieldsOf(term->op())[0];
+        std::string_view tag = eg::splitSymbol(term->op())[1];
         if (!emitted_stores_.insert(tag).second)
             return; // already materialized at an earlier chain position
         Value value = emitValue(term->child(0), builder);
@@ -179,7 +182,7 @@ class Emitter
         Symbol op = term->op();
         if (auto constant = decodeIntConst(op))
             return AffineBound::fromConstant(constant->first);
-        std::string name = opNameOf(op);
+        std::string_view name = opNameOf(op);
         if (name == ir::opnames::kAddI) {
             AffineBound lhs = emitBound(term->child(0), builder);
             AffineBound rhs = emitBound(term->child(1), builder);
@@ -218,8 +221,8 @@ class Emitter
     emitFor(const TermPtr &term, OpBuilder &builder)
     {
         auto fields = eg::splitSymbol(term->op());
-        const std::string &iv_name = fields[1];
-        const std::string &loop_id = fields[2];
+        std::string iv_name(fields[1]);
+        std::string loop_id(fields[2]);
 
         AffineBound lb = emitBound(term->child(0), builder);
         AffineBound ub = emitBound(term->child(1), builder);
@@ -299,11 +302,11 @@ class Emitter
         if (auto var = decodeVar(op))
             return lookupName(*var);
 
-        std::string name = opNameOf(op);
-        auto fields = fieldsOf(op);
+        auto fields = eg::splitSymbol(op).subspan(1);
+        std::string_view name = opNameOf(op);
 
         if (name == "memref.load") {
-            const std::string &tag = fields[0];
+            std::string_view tag = fields[0];
             auto it = tagged_.find(tag);
             if (it != tagged_.end())
                 return it->second;
@@ -316,7 +319,7 @@ class Emitter
             return v;
         }
         if (name == "memref.alloc") {
-            const std::string &tag = fields[1];
+            std::string_view tag = fields[1];
             auto it = tagged_.find(tag);
             if (it != tagged_.end())
                 return it->second;
@@ -328,13 +331,14 @@ class Emitter
                     ? OpBuilder::atEnd(*entry_block_)
                     : OpBuilder::before(&entry_block_->front());
             Value v = entry_builder.alloc(parseType(fields[0]));
-            v.definingOp()->setAttr("seer.tag", Attribute(tag));
+            v.definingOp()->setAttr("seer.tag",
+                                    Attribute(std::string(tag)));
             tagged_[tag] = v;
             return v;
         }
         if (isStatementSymbol(op)) {
-            fatal("SeerLang emission: statement operator '" + name +
-                  "' in value position");
+            fatal("SeerLang emission: statement operator '" +
+                  std::string(name) + "' in value position");
         }
 
         // Generic value op: children first, then value-number.
@@ -353,7 +357,7 @@ class Emitter
         if (name == ir::opnames::kCmpI || name == ir::opnames::kCmpF) {
             Operation *cmp = builder.create(name, std::move(operands),
                                             {Type::i1()});
-            cmp->setAttr("predicate", Attribute(fields[0]));
+            cmp->setAttr("predicate", Attribute(std::string(fields[0])));
             result = cmp->result();
         } else if (fields.size() == 2) {
             // Cast: fields are (from, to).
@@ -374,10 +378,11 @@ class Emitter
     }
 
     ir::Block *entry_block_ = nullptr;
-    std::vector<std::map<std::string, Value>> scopes_;
+    std::vector<std::map<std::string, Value, std::less<>>> scopes_;
     std::vector<std::map<VnKey, Value>> vn_;
-    std::map<std::string, Value> tagged_;
-    std::set<std::string> emitted_stores_;
+    // Tags are views into interned symbol text.
+    std::map<std::string_view, Value> tagged_;
+    std::set<std::string_view> emitted_stores_;
 };
 
 } // namespace
@@ -385,15 +390,15 @@ class Emitter
 EmitSpec
 inferSpec(const TermPtr &term, const std::string &func_name)
 {
-    std::set<std::string> bound, free_vars;
-    std::map<std::string, Type> args;
+    std::set<std::string_view> bound, free_vars;
+    std::map<std::string_view, Type> args;
     collectFreeLeaves(term, bound, args, free_vars);
     EmitSpec spec;
     spec.func_name = func_name;
     for (const auto &[name, type] : args)
-        spec.args.emplace_back(name, type);
-    for (const std::string &name : free_vars)
-        spec.args.emplace_back(name, Type::index());
+        spec.args.emplace_back(std::string(name), type);
+    for (std::string_view name : free_vars)
+        spec.args.emplace_back(std::string(name), Type::index());
     return spec;
 }
 

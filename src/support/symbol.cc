@@ -1,7 +1,9 @@
 #include "support/symbol.h"
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
+#include <new>
 #include <shared_mutex>
 #include <unordered_map>
 
@@ -15,10 +17,12 @@ namespace {
  * intern and stringify symbols on every term they touch — a plainly
  * mutex-guarded table serializes the whole pool:
  *
- *  - str() is lock-free: strings live in fixed-size blocks that never
- *    move once allocated, and a thread holding a valid Symbol id
+ *  - str() and fields() are lock-free: texts live in fixed-size blocks
+ *    and the views of their ':'-separated fields (split once, under the
+ *    exclusive lock that inserts the text) in arena chunks, neither of
+ *    which moves once allocated; and a thread holding a valid Symbol id
  *    received it through some synchronizing handoff (a task launch, a
- *    cache mutex), which also publishes the block its string lives in.
+ *    cache mutex), which also publishes the entry it names.
  *  - intern() of an existing string takes only a shared (reader) lock;
  *    the exclusive lock is reserved for first-time insertions.
  *  - on top of that, each thread memoizes its intern results, so the
@@ -31,11 +35,22 @@ struct InternTable
     static constexpr uint32_t kBlockSize = uint32_t{1} << kBlockBits;
     static constexpr uint32_t kMaxBlocks = uint32_t{1}
                                            << (32 - kBlockBits);
+    /** Field views per arena chunk. */
+    static constexpr size_t kArenaChunk = 4096;
+
+    /** One interned symbol: its text and the views of its fields. */
+    struct Entry
+    {
+        std::string text;
+        std::span<const std::string_view> fields; // into text
+    };
 
     std::shared_mutex mutex;
     std::unordered_map<std::string_view, uint32_t> ids; // guarded
     uint32_t count = 0;                                 // guarded
-    std::atomic<std::string *> blocks[kMaxBlocks] = {};
+    std::string_view *arena = nullptr;                  // guarded
+    size_t arena_left = 0;                              // guarded
+    std::atomic<Entry *> blocks[kMaxBlocks] = {};
 
     InternTable() { intern(""); }
 
@@ -54,22 +69,46 @@ struct InternTable
             return it->second;
         uint32_t id = count++;
         uint32_t block = id >> kBlockBits;
-        std::string *storage =
-            blocks[block].load(std::memory_order_relaxed);
+        Entry *storage = blocks[block].load(std::memory_order_relaxed);
         if (!storage) {
-            storage = new std::string[kBlockSize];
+            // Raw storage, constructed slot by slot as ids are handed
+            // out: a block's pages are touched only once they are used.
+            storage = static_cast<Entry *>(
+                ::operator new(sizeof(Entry) * kBlockSize));
             blocks[block].store(storage, std::memory_order_release);
         }
-        std::string &slot = storage[id & (kBlockSize - 1)];
-        slot = std::string(text);
-        ids.emplace(slot, id);
+        Entry *slot = new (storage + (id & (kBlockSize - 1)))
+            Entry{std::string(text), {}};
+        slot->fields = split(slot->text);
+        ids.emplace(slot->text, id);
         return id;
     }
 
-    const std::string &
-    str(uint32_t id)
+    /** Split `text` at every ':' into views stored in the arena. */
+    std::span<const std::string_view>
+    split(std::string_view text)
     {
-        std::string *storage =
+        size_t n = std::count(text.begin(), text.end(), ':') + 1;
+        if (n > arena_left) {
+            arena_left = std::max(n, kArenaChunk);
+            arena = new std::string_view[arena_left];
+        }
+        std::string_view *out = arena;
+        arena += n;
+        arena_left -= n;
+        size_t pos = 0;
+        for (size_t i = 0; i < n; ++i) {
+            size_t colon = std::min(text.find(':', pos), text.size());
+            out[i] = text.substr(pos, colon - pos);
+            pos = colon + 1;
+        }
+        return {out, n};
+    }
+
+    const Entry &
+    entry(uint32_t id)
+    {
+        Entry *storage =
             blocks[id >> kBlockBits].load(std::memory_order_acquire);
         return storage[id & (kBlockSize - 1)];
     }
@@ -92,7 +131,7 @@ internCached(std::string_view text)
     if (it != memo.end())
         return it->second;
     uint32_t id = table().intern(text);
-    memo.emplace(table().str(id), id);
+    memo.emplace(table().entry(id).text, id);
     return id;
 }
 
@@ -105,7 +144,13 @@ Symbol::Symbol(std::string_view text) : id_(internCached(text)) {}
 const std::string &
 Symbol::str() const
 {
-    return table().str(id_);
+    return table().entry(id_).text;
+}
+
+std::span<const std::string_view>
+Symbol::fields() const
+{
+    return table().entry(id_).fields;
 }
 
 } // namespace seer

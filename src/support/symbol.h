@@ -4,13 +4,16 @@
  *
  * Symbols are the currency of the e-graph layer: every SeerLang operator
  * (including ones carrying encoded static attributes, e.g. "const:42:i32")
- * is an interned string, so comparison and hashing are O(1).
+ * is an interned string, so comparison and hashing are O(1). The
+ * ':'-separated fields of a symbol are split once, when its text is first
+ * interned, so decoding a symbol never re-splits its text.
  */
 #ifndef SEER_SUPPORT_SYMBOL_H_
 #define SEER_SUPPORT_SYMBOL_H_
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -31,6 +34,14 @@ class Symbol
 
     /** The interned text. Valid for the lifetime of the process. */
     const std::string &str() const;
+
+    /**
+     * The text split at every ':' ("const:42:i32" -> const, 42, i32;
+     * "a:" -> a and ""; "" -> one empty field). Split once, at intern
+     * time; the views point into str() and, like it, stay valid for
+     * the lifetime of the process.
+     */
+    std::span<const std::string_view> fields() const;
 
     uint32_t id() const { return id_; }
     bool empty() const { return id_ == 0; }

@@ -85,6 +85,36 @@ TEST(CanonicalHashTest, ShadowingResolvesInnermost)
     EXPECT_TRUE(sl::alphaEquivalent(a, b));
 }
 
+TEST(CanonicalHashTest, PinnedValuesNeverChange)
+{
+    // --pass-cache files persist these hashes: a change to how symbols
+    // are decoded must not move them. The literals were recorded before
+    // field splitting moved into the interner; they pin a bound loop
+    // iv, a free var, int and float literals, and a tagged store.
+    struct Pin
+    {
+        const char *term;
+        uint64_t hash;
+    };
+    const Pin pins[] = {
+        {"(affine.for:i:L3 const:0:index const:16:index const:1:index"
+         " (use var:i))",
+         0x6446d26c2485c00cULL},
+        {"(use var:n)", 0x7a49f6f0c0f52c26ULL},
+        {"(arith.mulf:f64 constf:0x1.8p+1:f64"
+         " (arith.sitofp:i32:f64 const:-7:i32))",
+         0xd6f68840ed56891fULL},
+        {"(memref.store:t5 const:1:i32 arg:A:memref<4xi32>"
+         " const:2:index)",
+         0xfa301483b35ccc76ULL},
+    };
+    for (const Pin &pin : pins) {
+        EXPECT_EQ(sl::canonicalTermHash(eg::parseTerm(pin.term)),
+                  pin.hash)
+            << pin.term;
+    }
+}
+
 TEST(CanonicalHashTest, VerifyKeyRespectsAlphaAndBudget)
 {
     auto lhs = eg::parseTerm("(affine.for:i:L0 const:0:index"
@@ -470,6 +500,67 @@ TEST(InternerTest, ConcurrentInternAndStrAgree)
     });
     for (size_t i = 0; i < ids.size(); ++i)
         EXPECT_EQ(ids[i], ids[i % kNames]);
+}
+
+/** Plain "a:b:c" splitter, kept apart from the interner's own. */
+std::vector<std::string>
+referenceFields(const std::string &text)
+{
+    std::vector<std::string> fields;
+    size_t pos = 0;
+    while (true) {
+        size_t colon = text.find(':', pos);
+        if (colon == std::string::npos) {
+            fields.push_back(text.substr(pos));
+            return fields;
+        }
+        fields.push_back(text.substr(pos, colon - pos));
+        pos = colon + 1;
+    }
+}
+
+TEST(InternerTest, ConcurrentDecodeMatchesReferenceSplitter)
+{
+    // 8 workers intern fresh symbols while decoding them: the fields
+    // split at intern time must read back whole from every thread.
+    std::vector<std::string> texts = {"", "a:", "::",
+                                      "decode-stress-no-colon"};
+    for (size_t i = 0; i < 128; ++i) {
+        std::string n = std::to_string(i);
+        texts.push_back("const:" + n + ":i32");
+        texts.push_back("const:-" + n + ":index");
+        texts.push_back("var:decode-stress-" + n);
+        texts.push_back("affine.for:decode-iv" + n + ":Ldecode" + n);
+        texts.push_back("arith.cmpi:slt:i" + std::to_string(i % 64 + 1));
+        texts.push_back("memref.store:decode-t" + n);
+    }
+    parallelFor(texts.size() * 8, 8, [&](size_t i) {
+        const std::string &text = texts[i % texts.size()];
+        std::vector<std::string> want = referenceFields(text);
+        Symbol symbol(text);
+        auto fields = eg::splitSymbol(symbol);
+        ASSERT_EQ(fields.size(), want.size()) << text;
+        for (size_t f = 0; f < want.size(); ++f)
+            EXPECT_EQ(fields[f], want[f]) << text;
+        EXPECT_EQ(sl::opNameOf(symbol), want[0]);
+
+        bool is_const = want.size() == 3 && want[0] == "const";
+        auto constant = sl::decodeIntConst(symbol);
+        ASSERT_EQ(constant.has_value(), is_const) << text;
+        if (constant) {
+            EXPECT_EQ(constant->first, std::stoll(want[1]));
+            EXPECT_EQ(constant->second.str(), want[2]);
+        }
+        bool is_var = want.size() == 2 && want[0] == "var";
+        auto var = sl::decodeVar(symbol);
+        ASSERT_EQ(var.has_value(), is_var) << text;
+        if (var) {
+            EXPECT_EQ(*var, want[1]);
+        }
+        if (want[0] == "affine.for") {
+            EXPECT_EQ(sl::loopIdOf(symbol), want[2]);
+        }
+    });
 }
 
 } // namespace

@@ -139,7 +139,7 @@ constHooks()
     hooks.parse_const = [](Symbol op) -> std::optional<int64_t> {
         auto fields = splitSymbol(op);
         if (fields.size() == 2 && fields[0] == "const")
-            return std::stoll(fields[1]);
+            return std::stoll(std::string(fields[1]));
         return std::nullopt;
     };
     return hooks;

@@ -88,7 +88,7 @@ class TableCost : public CostModel
         }
         return out;
     }
-    std::optional<std::string>
+    std::optional<std::string_view>
     dependencyKey(const ENode &node) const override
     {
         if (table_.count(node.op.str()))

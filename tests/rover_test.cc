@@ -150,12 +150,12 @@ TEST(RoverRulesTest, RulesAreSoundOnRandomInputs)
                 return std::nullopt;
             return it->second;
         }
-        std::string name = sl::opNameOf(p->op());
+        std::string_view name = sl::opNameOf(p->op());
         if (auto c = sl::decodeIntConst(p->op())) {
             width = std::max(width, c->second.bitwidth());
             return c->first;
         }
-        auto fields = sl::fieldsOf(p->op());
+        auto fields = eg::splitSymbol(p->op()).subspan(1);
         std::vector<int64_t> args;
         for (const auto &child : p->children()) {
             auto v = eval(child, env, width);
@@ -269,6 +269,28 @@ TEST(RoverCostTest, VariableShiftCostsBarrel)
     const auto &cs_node = egraph.eclass(const_shift).nodes[0];
     EXPECT_GT(cost.nodeCost(vs_node), 100.0);
     EXPECT_EQ(cost.nodeCost(cs_node), 0.0);
+}
+
+TEST(RoverCostTest, TypeWidthsAgreeWithTheTypeParser)
+{
+    // The area model reads widths off type fields without building a
+    // Type; ir::parseType is the reference it must agree with, 0 for
+    // every spelling that does not parse to a scalar.
+    RoverAreaCost cost;
+    for (const char *type :
+         {"i1", "i8", "i32", "i64", "i032", "index", "f64", "i0", "i65",
+          "i", "i3x", "f32", "none", "t7", "", "memref<4xi32>",
+          "i99999999999999999999"}) {
+        unsigned want = 0;
+        try {
+            ir::Type parsed = ir::parseType(type);
+            if (parsed.isScalar())
+                want = parsed.bitwidth();
+        } catch (const FatalError &) {
+        }
+        eg::ENode add{Symbol(std::string("arith.addi:") + type), {0, 1}};
+        EXPECT_EQ(cost.nodeCost(add), 5.5 * want) << type;
+    }
 }
 
 TEST(RoverCostTest, FloatUnitsDominate)

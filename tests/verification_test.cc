@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "benchmarks/benchmarks.h"
 #include "core/verify.h"
 #include "egraph/runner.h"
 #include "ir/parser.h"
@@ -132,6 +133,52 @@ func.func @f(%a: memref<8xi32>) {
     // Sanity: without the deadline the same pair fails conclusively.
     std::string diff;
     EXPECT_FALSE(checkModuleEquivalence(lhs, rhs, "f", {}, &diff));
+}
+
+TEST(ModuleEquivalenceTest, InputTrappingOnRandomInputsIsInconclusive)
+{
+    // md_knn's neighbour indices come from its inputs: plain random
+    // inputs make the *input* program trap (out-of-bounds index), which
+    // says nothing about the optimized one. The plain overload (what
+    // seer-opt --verify calls) must not report that as a FAIL.
+    const bench::Benchmark &knn = bench::findBenchmark("md_knn");
+    ir::Module input = bench::parseBenchmark(knn);
+    ir::Module copy = bench::parseBenchmark(knn);
+    std::string diagnostic;
+    EXPECT_TRUE(checkModuleEquivalence(input, copy, knn.func, {},
+                                       &diagnostic))
+        << diagnostic;
+    EXPECT_EQ(diagnostic, "<inconclusive>");
+
+    // With the domain-aware preparer the same pair runs and passes.
+    std::string prepared_diagnostic;
+    EXPECT_TRUE(checkModuleEquivalence(input, copy, knn.func, knn.prepare,
+                                       {}, &prepared_diagnostic));
+    EXPECT_EQ(prepared_diagnostic, "");
+}
+
+TEST(ModuleEquivalenceTest, OutputTrappingAloneStillFails)
+{
+    // The optimized side traps (index 8 of an 8-element buffer) on
+    // inputs where the input program runs: a conclusive FAIL.
+    ir::Module input = ir::parseModule(R"(
+func.func @f(%a: memref<8xi32>) {
+  %c7 = arith.constant 7 : index
+  %k = arith.constant 1 : i32
+  memref.store %k, %a[%c7] : memref<8xi32>
+  func.return
+})");
+    ir::Module planted = ir::parseModule(R"(
+func.func @f(%a: memref<8xi32>) {
+  %c8 = arith.constant 8 : index
+  %k = arith.constant 1 : i32
+  memref.store %k, %a[%c8] : memref<8xi32>
+  func.return
+})");
+    std::string diagnostic;
+    EXPECT_FALSE(
+        checkModuleEquivalence(input, planted, "f", {}, &diagnostic));
+    EXPECT_EQ(diagnostic.rfind("trap: ", 0), 0u) << diagnostic;
 }
 
 TEST(CertificateTest, RecordsCoverTheExtractionPath)

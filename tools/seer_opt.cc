@@ -341,6 +341,20 @@ evaluateWithZeros(const seer::ir::Module &module,
                          hls_options);
 }
 
+/** The end-to-end equivalence line of --verify: PASS, FAIL <why>, or
+ *  inconclusive when no workload ran to completion on the input. */
+void
+printEquivalence(bool ok, const std::string &diag)
+{
+    std::cerr << "; end-to-end equivalence: ";
+    if (!ok)
+        std::cerr << "FAIL " << diag << "\n";
+    else if (diag == "<inconclusive>")
+        std::cerr << "inconclusive\n";
+    else
+        std::cerr << "PASS\n";
+}
+
 /**
  * Dispatch the request to a seer-optd daemon. Returns the process
  * exit code, or nullopt to fall back to the in-process path (socket
@@ -416,8 +430,7 @@ runRemote(const CliOptions &options, const seer::ir::Module &input,
             std::string diag;
             bool ok = core::checkModuleEquivalence(
                 input, output, options.func_name, {}, &diag);
-            std::cerr << "; end-to-end equivalence: "
-                      << (ok ? "PASS" : "FAIL " + diag) << "\n";
+            printEquivalence(ok, diag);
             std::cerr << "; translation validation: server-side "
                          "(records not transmitted)\n";
             if (!ok)
@@ -532,8 +545,7 @@ main(int argc, char **argv)
             std::string diag;
             bool ok = core::checkModuleEquivalence(
                 input, output, options.func_name, {}, &diag);
-            std::cerr << "; end-to-end equivalence: "
-                      << (ok ? "PASS" : "FAIL " + diag) << "\n";
+            printEquivalence(ok, diag);
             if (!options.fixed_passes.empty()) {
                 if (!ok)
                     return 1;
