@@ -315,6 +315,9 @@ outcomeBytes(const PassOutcome &outcome)
 
 constexpr int64_t kVerdictBytes = 96;
 
+/** Mutex stripes per store: enough that -j workers rarely contend. */
+constexpr unsigned kCacheShards = 16;
+
 int64_t
 verdictBytes(const VerifyVerdict &verdict)
 {
@@ -323,31 +326,17 @@ verdictBytes(const VerifyVerdict &verdict)
 
 } // namespace
 
-ExternalEvalCache::ExternalEvalCache(bool persistent,
-                                     EvalCacheConfig config)
+ExternalEvalCache::ExternalEvalCache(bool persistent)
     : persistent_(persistent),
-      pass_(config.shards,
-            config.max_bytes == 0 ? 0 : config.max_bytes / 4 * 3,
-            [this](int64_t delta) { charge(delta); }),
-      verify_(config.shards,
-              config.max_bytes == 0 ? 0 : config.max_bytes / 4,
-              [this](int64_t delta) { charge(delta); })
+      pass_(kCacheShards, [this](int64_t delta) { charge(delta); }),
+      verify_(kCacheShards, [this](int64_t delta) { charge(delta); })
 {}
 
 void
 ExternalEvalCache::setExecContext(const ExecContext &exec)
 {
     std::lock_guard<std::mutex> lock(exec_mutex_);
-    if (!exec_pinned_)
-        exec_ = exec;
-}
-
-void
-ExternalEvalCache::pinExecContext(const ExecContext &exec)
-{
-    std::lock_guard<std::mutex> lock(exec_mutex_);
     exec_ = exec;
-    exec_pinned_ = true;
 }
 
 void
@@ -364,7 +353,7 @@ ExternalEvalCache::lookupPass(uint64_t key, bool count)
     // re-evaluated from scratch, never trusted.
     if (faultFire(FaultPoint::CacheRead))
         return std::nullopt;
-    std::optional<PassOutcome> found = pass_.lookup(key, count);
+    std::optional<PassOutcome> found = pass_.lookup(key);
     if (found && count) {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         ++stats_.pass_cache_hits;
@@ -475,28 +464,10 @@ ExternalEvalCache::stats() const
         std::lock_guard<std::mutex> lock(stats_mutex_);
         out = stats_;
     }
-    LruMetrics pass_metrics = pass_.metrics();
-    LruMetrics verify_metrics = verify_.metrics();
-    out.cache_shards = pass_.shardCount();
-    out.pass_evictions = pass_metrics.evictions;
-    out.verify_evictions = verify_metrics.evictions;
-    out.evicted_bytes =
-        pass_metrics.evicted_bytes + verify_metrics.evicted_bytes;
-    out.resident_entries = pass_metrics.entries + verify_metrics.entries;
-    out.resident_bytes = pass_metrics.bytes + verify_metrics.bytes;
+    out.resident_entries = pass_.size() + verify_.size();
+    out.resident_bytes =
+        static_cast<uint64_t>(pass_.bytes() + verify_.bytes());
     return out;
-}
-
-std::vector<LruMetrics>
-ExternalEvalCache::passShardMetrics() const
-{
-    return pass_.shardMetrics();
-}
-
-std::vector<LruMetrics>
-ExternalEvalCache::verifyShardMetrics() const
-{
-    return verify_.shardMetrics();
 }
 
 // --- persistence ----------------------------------------------------------
@@ -829,7 +800,7 @@ ExternalEvalCache::saveFile(const std::string &path,
     // stream without interleaved reads of mutable state. forEachSorted
     // snapshots each store and iterates in sorted key order, so the
     // artifact is byte-stable across runs — and across save → load →
-    // save round trips, whatever LRU order the traffic left behind.
+    // save round trips, whatever order the entries arrived in.
     std::ostringstream out;
     out << kCacheHeader << '\n';
     pass_.forEachSorted([&](uint64_t key, const PassOutcome &outcome) {
@@ -909,10 +880,6 @@ toJson(const ExternalEvalStats &stats)
     out.set("disk_load_failed", stats.disk_load_failed);
     out.set("disk_entries_rejected", stats.disk_entries_rejected);
     out.set("disk_load_error", stats.disk_load_error);
-    out.set("cache_shards", stats.cache_shards);
-    out.set("pass_evictions", stats.pass_evictions);
-    out.set("verify_evictions", stats.verify_evictions);
-    out.set("evicted_bytes", stats.evicted_bytes);
     out.set("resident_entries", stats.resident_entries);
     out.set("resident_bytes", stats.resident_bytes);
     return out;

@@ -42,7 +42,7 @@
 #include "hls/hls.h"
 #include "support/exec_context.h"
 #include "support/json.h"
-#include "support/striped_lru.h"
+#include "support/striped_map.h"
 
 namespace seer::ir {
 class Operation;
@@ -123,39 +123,17 @@ struct ExternalEvalStats
     size_t disk_entries_rejected = 0;
     /** Why the persisted cache was rejected (empty: loaded or absent). */
     std::string disk_load_error;
-    // Sharded-store telemetry (daemon mode shares one cache across
-    // sessions; evictions are how the byte budget holds).
-    size_t cache_shards = 0;         ///< stripe count of the store
-    size_t pass_evictions = 0;       ///< pass outcomes evicted (LRU)
-    size_t verify_evictions = 0;     ///< verdicts evicted (LRU)
-    uint64_t evicted_bytes = 0;      ///< total bytes credited back
     uint64_t resident_entries = 0;   ///< entries currently held
     uint64_t resident_bytes = 0;     ///< estimated bytes currently held
 };
 
 json::Value toJson(const ExternalEvalStats &stats);
 
-/** Sizing of the sharded concurrent store behind ExternalEvalCache. */
-struct EvalCacheConfig
-{
-    /** Mutex stripes (rounded up to a power of two). */
-    unsigned shards = 16;
-    /**
-     * Byte budget across pass outcomes + verdicts (0 = unlimited).
-     * Outcomes dominate, so they get 3/4 of the budget and verdicts
-     * the rest; each store evicts LRU entries per shard. Eviction can
-     * only cost a recomputation — the memoized function is pure — so
-     * results stay byte-identical under any budget.
-     */
-    uint64_t max_bytes = 0;
-};
-
 /**
  * The two-level evaluation cache, held in a mutex-striped concurrent
- * store (support/striped_lru.h). Thread-safe: the prepare stage's
- * worker pool inserts concurrently while stats accumulate, and in
- * daemon mode (`seer-optd`) many concurrent sessions share one
- * process-wide instance — lookups on distinct shards never contend.
+ * store (support/striped_map.h). Thread-safe: the prepare stage's
+ * worker pool inserts concurrently while stats accumulate — lookups on
+ * distinct shards never contend.
  *
  * Persistent mode memoizes across iterations, phases, optimize() calls
  * and (via load/save) processes. Ephemeral mode (--no-pass-cache) is an
@@ -167,25 +145,14 @@ struct EvalCacheConfig
 class ExternalEvalCache
 {
   public:
-    explicit ExternalEvalCache(bool persistent = true,
-                               EvalCacheConfig config = {});
+    explicit ExternalEvalCache(bool persistent = true);
 
     bool persistent() const { return persistent_; }
 
     /** Attach a governance context: memoized entries are accounted
      *  against MemSubsystem::Caches on its governor (approximate
-     *  per-entry byte estimates; credited back on clearOutcomes).
-     *  Ignored once a context has been pinned. */
+     *  per-entry byte estimates; credited back on clearOutcomes). */
     void setExecContext(const ExecContext &exec);
-
-    /**
-     * Pin the governance context of a shared, cross-session cache (the
-     * daemon): entries then always charge the *server* governor, and
-     * the per-request contexts optimize() passes through
-     * setExecContext are ignored — a request budget must not inherit
-     * the whole shared cache's footprint.
-     */
-    void pinExecContext(const ExecContext &exec);
 
     /** Pass-outcome lookup. `count` tallies a hit in the stats. */
     std::optional<PassOutcome> lookupPass(uint64_t key,
@@ -235,25 +202,18 @@ class ExternalEvalCache
      */
     bool saveFile(const std::string &path, std::string *error) const;
 
-    /** Per-shard hit/miss/evict counters of the two stores (pass
-     *  outcomes first, then verdicts) — the daemon's stats surface. */
-    std::vector<LruMetrics> passShardMetrics() const;
-    std::vector<LruMetrics> verifyShardMetrics() const;
-
   private:
     /** Account `delta` bytes to the Caches subsystem. */
     void charge(int64_t delta);
 
     bool persistent_;
-    StripedLru<PassOutcome> pass_;
-    StripedLru<VerifyVerdict> verify_;
-    /** Guards the legacy counters + timing accumulators; the sharded
-     *  stores carry their own per-shard counters. */
+    StripedMap<PassOutcome> pass_;
+    StripedMap<VerifyVerdict> verify_;
+    /** Guards the counters + timing accumulators. */
     mutable std::mutex stats_mutex_;
     ExternalEvalStats stats_;
     mutable std::mutex exec_mutex_;
     ExecContext exec_;
-    bool exec_pinned_ = false;
 };
 
 using EvalCachePtr = std::shared_ptr<ExternalEvalCache>;

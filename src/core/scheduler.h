@@ -64,7 +64,7 @@ enum class ScheduleKind
 
 /** Parse a --schedule value ("exhaustive" | "bandit"). */
 bool parseScheduleKind(const std::string &text, ScheduleKind *kind);
-/** Stable lowercase name (CLI values, wire fields, stats JSON). */
+/** Stable lowercase name (CLI values, stats JSON). */
 const char *scheduleKindName(ScheduleKind kind);
 
 /** One cold (pass, site) proposal offered to the scheduler. */

@@ -70,10 +70,7 @@ evalStatsDelta(const ExternalEvalStats &now, const ExternalEvalStats &base)
     d.translate_seconds -= base.translate_seconds;
     d.verify_seconds -= base.verify_seconds;
     d.schedule_seconds -= base.schedule_seconds;
-    d.pass_evictions -= base.pass_evictions;
-    d.verify_evictions -= base.verify_evictions;
-    d.evicted_bytes -= base.evicted_bytes;
-    // cache_shards / resident_* / disk_* are levels describing the
+    // resident_* / disk_* are levels describing the
     // cache itself, not per-run counters: they pass through.
     return d;
 }
@@ -699,8 +696,15 @@ class OptimizeDriver
             evalStatsDelta(eval_cache_->stats(), eval_stats_base_);
         result_.stats.scheduler =
             context_->pipeline->scheduler().stats();
+        // A warm run that loaded the file and memoized nothing new
+        // would rewrite identical bytes: skip it. Persistent entries
+        // are never dropped, so an unchanged count means no insert.
+        bool cache_unchanged =
+            eval_stats_base_.disk_entries_loaded > 0 &&
+            result_.stats.external_eval.resident_entries ==
+                eval_stats_base_.resident_entries;
         if (!options_.shared_eval_cache && options_.use_pass_cache &&
-            !options_.pass_cache_file.empty()) {
+            !options_.pass_cache_file.empty() && !cache_unchanged) {
             std::string cache_error;
             if (!eval_cache_->saveFile(options_.pass_cache_file,
                                        &cache_error)) {

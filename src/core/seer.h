@@ -123,7 +123,9 @@ struct SeerOptions
      */
     bool use_pass_cache = true;
     /** Load/save the pass-outcome cache here (empty = in-memory only;
-     *  `seer-opt --pass-cache <path>`). A corrupt file cold-starts. */
+     *  `seer-opt --pass-cache <path>`). A corrupt file cold-starts; a
+     *  run that loaded the file and memoized nothing new leaves it
+     *  untouched. */
     std::string pass_cache_file;
     /** Share one evaluation cache across optimize() calls (e.g. a
      *  design-space sweep over one kernel); overrides use_pass_cache

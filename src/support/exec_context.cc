@@ -239,16 +239,4 @@ installSignalCancellation()
     sigaction(SIGTERM, &action, nullptr);
 }
 
-bool
-signalCancelRequested()
-{
-    return g_signal_flag.load(std::memory_order_relaxed) != 0;
-}
-
-void
-clearSignalCancellation()
-{
-    g_signal_flag.store(0, std::memory_order_relaxed);
-}
-
 } // namespace seer

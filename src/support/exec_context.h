@@ -189,12 +189,6 @@ class ExecContext
  */
 void installSignalCancellation();
 
-/** True once a cancellation signal has been received. */
-bool signalCancelRequested();
-
-/** Clear the signal flag (tests / daemon request boundaries). */
-void clearSignalCancellation();
-
 } // namespace seer
 
 #endif // SEER_SUPPORT_EXEC_CONTEXT_H_

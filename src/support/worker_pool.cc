@@ -98,88 +98,6 @@ WorkerPool::run(size_t count, const std::function<void(size_t)> &fn,
     workers_done_ = workers_.size(); // parked state for the next batch
 }
 
-TaskQueue::TaskQueue(unsigned threads)
-{
-    unsigned workers = std::max(1u, threads);
-    workers_.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t)
-        workers_.emplace_back([this] { workerLoop(); });
-}
-
-TaskQueue::~TaskQueue()
-{
-    shutdown();
-}
-
-bool
-TaskQueue::post(std::function<void()> task)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (shutdown_)
-            return false;
-        queue_.push_back(std::move(task));
-    }
-    work_cv_.notify_one();
-    return true;
-}
-
-void
-TaskQueue::drain()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    idle_cv_.wait(lock,
-                  [&] { return queue_.empty() && active_ == 0; });
-}
-
-void
-TaskQueue::shutdown()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (shutdown_ && workers_.empty())
-            return;
-        shutdown_ = true;
-    }
-    work_cv_.notify_all();
-    for (std::thread &worker : workers_)
-        worker.join();
-    workers_.clear();
-}
-
-size_t
-TaskQueue::pending() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return queue_.size() + active_;
-}
-
-void
-TaskQueue::workerLoop()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (true) {
-        work_cv_.wait(lock,
-                      [&] { return shutdown_ || !queue_.empty(); });
-        // Shutdown still drains the queue: a posted task represents an
-        // accepted client that must get a response.
-        if (queue_.empty()) {
-            if (shutdown_)
-                return;
-            continue;
-        }
-        std::function<void()> task = std::move(queue_.front());
-        queue_.pop_front();
-        ++active_;
-        lock.unlock();
-        task();
-        lock.lock();
-        --active_;
-        if (queue_.empty() && active_ == 0)
-            idle_cv_.notify_all();
-    }
-}
-
 void
 parallelFor(size_t count, unsigned threads,
             const std::function<void(size_t)> &fn,

@@ -29,7 +29,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -91,53 +90,6 @@ class WorkerPool
     const std::function<bool()> *cancel_ = nullptr;
     std::atomic<size_t> cursor_{0};
     std::atomic<bool> stop_{false};
-};
-
-/**
- * A plain task queue for independent, individually-submitted jobs —
- * the primitive WorkerPool deliberately is not. The daemon dispatches
- * one task per client connection: tasks arrive one at a time from the
- * accept loop, run concurrently up to `threads`, and the queue drains
- * cleanly on shutdown (in-flight tasks finish; queued-but-unstarted
- * tasks still run — a connected client must get *some* response).
- *
- * Tasks must not throw (same contract as WorkerPool jobs). No
- * determinism guarantees: ordering across tasks is whatever the
- * scheduler does. Anything needing bit-reproducibility belongs on
- * WorkerPool/parallelFor, not here.
- */
-class TaskQueue
-{
-  public:
-    explicit TaskQueue(unsigned threads);
-    /** Drains the queue (waits for every posted task), then joins. */
-    ~TaskQueue();
-
-    TaskQueue(const TaskQueue &) = delete;
-    TaskQueue &operator=(const TaskQueue &) = delete;
-
-    /** Enqueue a task; false (task dropped) after shutdown began. */
-    bool post(std::function<void()> task);
-
-    /** Block until every posted task has finished. */
-    void drain();
-
-    /** Stop accepting tasks, drain, and join the workers. Idempotent. */
-    void shutdown();
-
-    /** Tasks posted but not yet finished. */
-    size_t pending() const;
-
-  private:
-    void workerLoop();
-
-    mutable std::mutex mutex_;
-    std::condition_variable work_cv_;
-    std::condition_variable idle_cv_;
-    std::deque<std::function<void()>> queue_;
-    std::vector<std::thread> workers_;
-    size_t active_ = 0;
-    bool shutdown_ = false;
 };
 
 /**

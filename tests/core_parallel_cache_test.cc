@@ -12,7 +12,10 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <sys/stat.h>
 
 #include "core/pass_eval.h"
 #include "core/seer.h"
@@ -206,6 +209,14 @@ tempPath(const char *name)
     return std::string(::testing::TempDir()) + name;
 }
 
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
 TEST(EvalCacheTest, DiskRoundTripPreservesOutcomesAndVerdicts)
 {
     ExternalEvalCache cache;
@@ -274,17 +285,19 @@ TEST(EvalCacheTest, SaveIsByteStableAcrossInsertionOrder)
     backward.insertPass(2, rejected);
     backward.insertPass(1, PassOutcome{});
 
+    VerifyVerdict verdict;
+    verdict.result = VerifyVerdict::Result::Mismatch;
+    verdict.diag = "run 0 diverged";
+    forward.insertVerify(7, verdict);
+    backward.insertVerify(7, verdict);
+
     std::string pa = tempPath("pass_cache_a.txt");
     std::string pb = tempPath("pass_cache_b.txt");
     std::string error;
     ASSERT_TRUE(forward.saveFile(pa, &error)) << error;
     ASSERT_TRUE(backward.saveFile(pb, &error)) << error;
-    std::ifstream fa(pa), fb(pb);
-    std::string ca((std::istreambuf_iterator<char>(fa)),
-                   std::istreambuf_iterator<char>());
-    std::string cb((std::istreambuf_iterator<char>(fb)),
-                   std::istreambuf_iterator<char>());
-    EXPECT_EQ(ca, cb);
+    std::string ca = slurp(pa);
+    EXPECT_EQ(ca, slurp(pb));
     EXPECT_NE(ca.find("seer-pass-cache"), std::string::npos);
 }
 
@@ -310,6 +323,98 @@ TEST(EvalCacheTest, CorruptFileColdStartsInsteadOfHalfLoading)
     EXPECT_FALSE(loaded.lookupPass(1).has_value());
 }
 
+TEST(EvalCache, SaveLoadSaveIsByteStableUnderEviction)
+{
+    // Two caches fed the same entries in opposite orders must persist
+    // byte-identical files: serialization iterates keys in sorted
+    // order, not traffic order. The cache never evicts, so every
+    // record survives and a save -> load -> save round trip must
+    // reproduce the file byte for byte.
+    auto fill = [](ExternalEvalCache &cache, bool reversed) {
+        for (int i = 0; i < 200; ++i) {
+            int n = reversed ? 199 - i : i;
+            uint64_t key = static_cast<uint64_t>(n) * 7919 + 17;
+            PassOutcome outcome;
+            outcome.status = PassOutcome::Status::Rejected;
+            outcome.detail = "entry-" + std::to_string(n);
+            cache.insertPass(key, std::move(outcome));
+            VerifyVerdict verdict;
+            verdict.result = n % 3 == 0
+                                 ? VerifyVerdict::Result::Mismatch
+                                 : VerifyVerdict::Result::Equivalent;
+            verdict.diag = "diag-" + std::to_string(n);
+            cache.insertVerify(key, verdict);
+        }
+    };
+    std::string path_a = tempPath("pass_cache_stable_a.txt");
+    std::string path_b = tempPath("pass_cache_stable_b.txt");
+    std::string path_c = tempPath("pass_cache_stable_c.txt");
+
+    ExternalEvalCache forward, reversed;
+    fill(forward, false);
+    fill(reversed, true);
+    std::string error;
+    ASSERT_TRUE(forward.saveFile(path_a, &error)) << error;
+    ASSERT_TRUE(reversed.saveFile(path_b, &error)) << error;
+    std::string bytes = slurp(path_a);
+    EXPECT_EQ(bytes, slurp(path_b))
+        << "traffic order leaked into the save file";
+
+    // Loading must neither reorder nor drop entries.
+    ExternalEvalCache reloaded;
+    ASSERT_EQ(reloaded.loadFile(path_a, &error), 400u) << error;
+    EXPECT_EQ(reloaded.stats().resident_entries, 400u);
+    ASSERT_TRUE(reloaded.saveFile(path_c, &error)) << error;
+    EXPECT_EQ(bytes, slurp(path_c));
+
+    for (const std::string &p : {path_a, path_b, path_c})
+        std::remove(p.c_str());
+}
+
+TEST(EvalCache, CorruptFileColdStartsWithHonestCounters)
+{
+    std::string path = tempPath("pass_cache_honest_counters.txt");
+    std::string full;
+    {
+        ExternalEvalCache cache;
+        for (uint64_t key = 1; key <= 5; ++key)
+            cache.insertPass(key, PassOutcome{});
+        std::string error;
+        ASSERT_TRUE(cache.saveFile(path, &error)) << error;
+        full = slurp(path);
+    }
+    // A garbled tail and a truncation to half: either way the loader
+    // must discard everything and count the records it threw away.
+    struct Damage
+    {
+        std::string text;
+        size_t rejected; ///< 0: only "some" records are expected
+    };
+    for (const Damage &damage :
+         {Damage{full + "P deadbeef not-a-valid-record\n", 6},
+          Damage{full.substr(0, full.size() / 2), 0}}) {
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out << damage.text;
+        }
+        ExternalEvalCache loaded;
+        std::string error;
+        EXPECT_EQ(loaded.loadFile(path, &error), 0u);
+        EXPECT_FALSE(error.empty());
+        ExternalEvalStats stats = loaded.stats();
+        EXPECT_TRUE(stats.disk_load_failed);
+        EXPECT_FALSE(stats.disk_load_error.empty());
+        EXPECT_EQ(stats.disk_entries_loaded, 0u);
+        EXPECT_EQ(stats.resident_entries, 0u);
+        if (damage.rejected)
+            EXPECT_EQ(stats.disk_entries_rejected, damage.rejected);
+        else
+            EXPECT_GT(stats.disk_entries_rejected, 0u);
+        EXPECT_FALSE(loaded.lookupPass(1).has_value());
+    }
+    std::remove(path.c_str());
+}
+
 TEST(EvalCacheTest, MissingFileIsASilentColdStart)
 {
     ExternalEvalCache cache;
@@ -331,6 +436,42 @@ TEST(EvalCacheTest, EphemeralModeDropsOutcomesButKeepsStats)
     EXPECT_FALSE(cache.probePass(5));
     EXPECT_EQ(cache.stats().pass_cache_hits, 1u);
     EXPECT_EQ(cache.stats().pass_cache_misses, 1u);
+}
+
+TEST(EvalCacheTest, ConcurrentInsertsShareOneStore)
+{
+    // The -j worker pool's access pattern, as a TSan target: pass and
+    // verify inserts, probes and stats reads race on one cache.
+    ExternalEvalCache cache;
+    constexpr unsigned kThreads = 6;
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (uint64_t i = 0; i < 300; ++i) {
+                uint64_t key = (i % 100) * 7919 + t;
+                if (!cache.lookupPass(key, /*count=*/true)) {
+                    cache.countMiss();
+                    PassOutcome outcome;
+                    outcome.status = PassOutcome::Status::Rejected;
+                    outcome.detail = "detail-" + std::to_string(key);
+                    cache.insertPass(key, std::move(outcome));
+                }
+                VerifyVerdict verdict;
+                verdict.result = VerifyVerdict::Result::Equivalent;
+                cache.insertVerify(key, verdict);
+                (void)cache.lookupVerify(key);
+                if (i % 50 == 0)
+                    (void)cache.stats();
+            }
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+    ExternalEvalStats stats = cache.stats();
+    // Each thread misses its 100 keys once, then hits them twice.
+    EXPECT_EQ(stats.pass_cache_misses, kThreads * 100u);
+    EXPECT_EQ(stats.pass_cache_hits, kThreads * 200u);
+    EXPECT_EQ(stats.resident_entries, 2 * kThreads * 100u);
 }
 
 // ---------------------------------------------------------------------
@@ -465,6 +606,80 @@ TEST(DeterminismTest, DiskCacheWarmsAcrossRuns)
     EXPECT_EQ(first.module, ir::toString(second.module));
     EXPECT_GT(second.stats.external_eval.disk_entries_loaded, 0u);
     EXPECT_EQ(second.stats.external_eval.evaluations, 0u);
+    std::remove(path.c_str());
+}
+
+ino_t
+inodeOf(const std::string &path)
+{
+    struct stat st;
+    EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+    return st.st_ino;
+}
+
+TEST(DiskCacheSaveTest, WarmRunLeavesTheFileUntouched)
+{
+    std::string path = tempPath("pass_cache_warm_untouched.txt");
+    std::remove(path.c_str());
+    SeerOptions options;
+    options.pass_cache_file = path;
+    runWith(options);
+    std::string bytes = slurp(path);
+    ASSERT_FALSE(bytes.empty());
+    ino_t inode = inodeOf(path);
+
+    // A warm run memoizes nothing new, so it must not rewrite the
+    // file: a save is an atomic rename, which would change the inode.
+    ir::Module input = ir::parseModule(kFusable);
+    SeerResult warm = optimize(input, "fusable", options);
+    EXPECT_EQ(warm.stats.external_eval.evaluations, 0u);
+    EXPECT_EQ(inodeOf(path), inode);
+    EXPECT_EQ(slurp(path), bytes);
+    std::remove(path.c_str());
+}
+
+TEST(DiskCacheSaveTest, RunThatAddsEntriesStillSaves)
+{
+    std::string path = tempPath("pass_cache_adds_entries.txt");
+    std::remove(path.c_str());
+    SeerOptions options;
+    options.pass_cache_file = path;
+    runWith(options);
+    ExternalEvalCache first;
+    std::string error;
+    size_t first_entries = first.loadFile(path, &error);
+    ASSERT_GT(first_entries, 0u) << error;
+    ino_t inode = inodeOf(path);
+
+    // validation_runs is part of every key: this run evaluates cold
+    // and must persist what it learned next to the loaded entries.
+    options.validation_runs = 3;
+    ir::Module input = ir::parseModule(kFusable);
+    SeerResult more = optimize(input, "fusable", options);
+    EXPECT_GT(more.stats.external_eval.evaluations, 0u);
+    EXPECT_NE(inodeOf(path), inode);
+    ExternalEvalCache second;
+    EXPECT_GT(second.loadFile(path, &error), first_entries) << error;
+    std::remove(path.c_str());
+}
+
+TEST(DiskCacheSaveTest, CorruptFileIsReplacedByAValidOne)
+{
+    std::string path = tempPath("pass_cache_replace_corrupt.txt");
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << "seer-pass-cache v2\nP garbage\n";
+    }
+    SeerOptions options;
+    options.pass_cache_file = path;
+    ir::Module input = ir::parseModule(kFusable);
+    SeerResult result = optimize(input, "fusable", options);
+    EXPECT_TRUE(result.stats.external_eval.disk_load_failed);
+
+    ExternalEvalCache reloaded;
+    std::string error;
+    EXPECT_GT(reloaded.loadFile(path, &error), 0u);
+    EXPECT_TRUE(error.empty()) << error;
     std::remove(path.c_str());
 }
 

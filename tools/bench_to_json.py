@@ -2,7 +2,7 @@
 """Run the microbenchmarks and write a BENCH_*.json artifact.
 
 Wraps google-benchmark's --benchmark_format=json output and adds a
-summary section with before/after speedups. Two modes:
+summary section with before/after speedups. Four modes:
 
   --mode egraph (default, micro_egraph): benchmarks parameterized with
       a naive:{0,1} argument run the pre-index reference matcher
@@ -29,14 +29,6 @@ summary section with before/after speedups. Two modes:
       existing run report with --report. The summary is the pass rate
       and the failure taxonomy. Writes BENCH_corpus.json.
 
-  --mode serve (micro_serve): runs the seer-optd load generator
-      (--bench points at the micro_serve binary; extra flags like
-      --clients/--rounds go after "--"), or consumes an existing run
-      report with --report. The summary is the p50/p99 latency and
-      hit-rate trajectory cold -> warm, the warm-over-cold p50 speedup,
-      and the cross-round byte-identity verdict.
-      Writes BENCH_serve.json.
-
 Usage:
     tools/bench_to_json.py --bench build/bench/micro_egraph \
         [--mode egraph|passes] [--out BENCH_egraph.json] \
@@ -44,8 +36,6 @@ Usage:
     tools/bench_to_json.py --mode corpus --bench build/tools/seer-corpus \
         --seeds 200 [--out BENCH_corpus.json] [-- --no-reference ...]
     tools/bench_to_json.py --mode corpus --report corpus_run.json
-    tools/bench_to_json.py --mode serve --bench build/bench/micro_serve \
-        [--out BENCH_serve.json] [-- --clients 4 --rounds 3]
 """
 
 import argparse
@@ -277,43 +267,6 @@ def run_corpus(bench, seeds, extra_args):
         os.unlink(path)
 
 
-def run_serve(bench, extra_args):
-    """Run micro_serve and return its JSON run report."""
-    fd, path = tempfile.mkstemp(suffix=".json", prefix="seer_serve_")
-    os.close(fd)
-    try:
-        cmd = [bench, "--out", path, "--quiet"] + extra_args
-        proc = subprocess.run(cmd)
-        # 1 = a request failed or outputs diverged; the report (if
-        # written) records it, but the artifact should not pretend the
-        # run was healthy.
-        if proc.returncode != 0:
-            raise SystemExit(f"micro_serve failed ({proc.returncode})")
-        with open(path) as f:
-            return json.load(f)
-    finally:
-        os.unlink(path)
-
-
-def summarize_serve(report):
-    rounds = report.get("rounds_data", [])
-    return {
-        "clients": report.get("clients", 0),
-        "rounds": report.get("rounds", 0),
-        "validation_runs": report.get("validation_runs", 0),
-        "cold_p50_ms": report.get("cold_p50_ms", 0.0),
-        "warm_p50_ms": report.get("warm_p50_ms", 0.0),
-        "warm_speedup": report.get("warm_speedup", 0.0),
-        "deterministic": report.get("deterministic", False),
-        "hit_rate_trajectory":
-            [entry.get("hit_rate", 0.0) for entry in rounds],
-        "requests_per_s_trajectory":
-            [entry.get("requests_per_s", 0.0) for entry in rounds],
-        "p99_ms_trajectory":
-            [entry.get("p99_ms", 0.0) for entry in rounds],
-    }
-
-
 def summarize_corpus(report):
     return {
         "total": report.get("total", 0),
@@ -330,15 +283,6 @@ def summarize_corpus(report):
 
 
 def print_summary(mode, summary):
-    if mode == "serve":
-        trajectory = ", ".join(
-            f"{rate:.3f}" for rate in summary["hit_rate_trajectory"])
-        print(f"serve: cold p50 {summary['cold_p50_ms']:.1f} ms -> "
-              f"warm p50 {summary['warm_p50_ms']:.1f} ms "
-              f"({summary['warm_speedup']:.2f}x), "
-              f"hit rate [{trajectory}], outputs "
-              f"{'byte-identical' if summary['deterministic'] else 'DIVERGED'}")
-        return
     if mode == "corpus":
         print(f"corpus: {summary['passed']}/{summary['total']} passed "
               f"(pass rate {summary['pass_rate']:.4f}), "
@@ -392,7 +336,7 @@ def main():
                              "seer-corpus binary with --mode corpus)")
     parser.add_argument("--mode",
                         choices=("egraph", "passes", "extract",
-                                 "corpus", "serve"),
+                                 "corpus"),
                         default="egraph")
     parser.add_argument("--out", default=None,
                         help="output path (default BENCH_<mode>.json)")
@@ -402,35 +346,14 @@ def main():
     parser.add_argument("--seeds", type=int, default=100,
                         help="corpus size (--mode corpus)")
     parser.add_argument("--report", default=None,
-                        help="existing seer-corpus/micro_serve run "
-                             "report to convert instead of running "
-                             "the harness (--mode corpus/serve)")
+                        help="existing seer-corpus run report to "
+                             "convert instead of running the harness "
+                             "(--mode corpus)")
     parser.add_argument("extra", nargs="*",
                         help="extra flags passed through to "
-                             "seer-corpus or micro_serve after '--'")
+                             "seer-corpus after '--'")
     args = parser.parse_args()
     out_path = args.out or f"BENCH_{args.mode}.json"
-
-    if args.mode == "serve":
-        if args.report:
-            with open(args.report) as f:
-                report = json.load(f)
-        elif args.bench:
-            report = run_serve(args.bench, args.extra)
-        else:
-            raise SystemExit("--mode serve needs --bench or --report")
-        out = {
-            "generated_by": "tools/bench_to_json.py",
-            "mode": "serve",
-            "serve": report,
-            "summary": summarize_serve(report),
-        }
-        with open(out_path, "w") as f:
-            json.dump(out, f, indent=2)
-            f.write("\n")
-        print_summary("serve", out["summary"])
-        print(f"wrote {out_path}")
-        return 0
 
     if args.mode == "corpus":
         if args.report:

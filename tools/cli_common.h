@@ -2,13 +2,13 @@
  * @file
  * Shared command-line machinery for the seer tool binaries.
  *
- * seer-opt, seer-corpus, and seer-optd all speak the same flag
+ * seer-opt and seer-corpus both speak the same flag
  * dialect: GNU-style `--flag value` and `--flag=value` are equivalent,
  * a bad number in either spelling reports "bad integer"/"bad number"
  * (never "unknown option"), byte counts accept k/m/g suffixes, and a
  * value handed to a boolean flag ("--quiet=1") is a usage error. That
  * contract used to be copy-pasted per binary; this cursor centralizes
- * it so the three dispatch loops stay one `if` chain over flag names.
+ * it so each dispatch loop stays one `if` chain over flag names.
  *
  * Usage:
  *
@@ -101,8 +101,8 @@ class ArgCursor
 std::vector<std::string> splitList(const std::string &text);
 
 /**
- * Handle the proposal-scheduler flags shared by seer-opt, seer-corpus
- * and seer-optd: --schedule (exhaustive | bandit), --eval-budget
+ * Handle the proposal-scheduler flags shared by seer-opt and
+ * seer-corpus: --schedule (exhaustive | bandit), --eval-budget
  * (fraction in (0, 1]) and --schedule-seed. Returns true when `arg`
  * was one of them (consumed — check args.endArg() as usual); false
  * leaves the cursor untouched for the caller's own dispatch chain.

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "core/seer.h"
-#include "core/session.h"
 #include "core/verify.h"
 #include "hls/hls.h"
 #include "ir/parser.h"
@@ -31,7 +30,6 @@
 #include "support/error.h"
 #include "support/exec_context.h"
 #include "support/fault_inject.h"
-#include "support/socket.h"
 #include "tools/cli_common.h"
 
 namespace {
@@ -42,7 +40,6 @@ struct CliOptions
     std::string func_name; // empty: first function
     std::string fixed_passes; // non-empty: run a pipeline, not SEER
     std::string stats_file;   // non-empty: dump JSON stats ("-" = stderr)
-    std::string connect_socket; // non-empty: dispatch to a seer-optd
     bool verify = false;
     bool report = false;
     bool quiet = false;
@@ -93,16 +90,11 @@ usage()
         << seer::cli::scheduleFlagsUsage() <<
         "  --pass-cache FILE  persist the pass-outcome/verification\n"
         "                     cache across runs (loaded at start, saved\n"
-        "                     at exit; a corrupt file cold-starts)\n"
+        "                     at exit unless nothing new was learned;\n"
+        "                     a corrupt file cold-starts)\n"
         "  --no-pass-cache    disable cross-iteration memoization of\n"
         "                     external-pass outcomes (cold baseline;\n"
         "                     the optimization result is identical)\n"
-        "  --connect SOCK     dispatch the request to a running\n"
-        "                     seer-optd on unix socket SOCK (shared\n"
-        "                     warm cache; byte-identical to running\n"
-        "                     in-process). Falls back to in-process\n"
-        "                     when SOCK does not exist. Incompatible\n"
-        "                     with --passes/--fault-plan/--pass-cache\n"
         "  --deadline S       whole-run wall-clock budget in seconds;\n"
         "                     exploration is cut short when it expires\n"
         "  --time-limit S     egg-runner wall-clock limit per\n"
@@ -211,10 +203,13 @@ parseArgs(int argc, char **argv, CliOptions &options)
         } else if (arg == "--oracle") {
             options.seer.use_laws = false;
         } else if (arg == "--unroll") {
-            options.seer.unroll_max_trip = args.intValue();
+            int64_t trip = args.intValue();
+            if (!args.failed() && trip < 0)
+                args.fail("--unroll must be >= 0");
+            options.seer.unroll_max_trip = trip;
         } else if (arg == "--phases") {
-            options.seer.max_phases =
-                static_cast<int>(args.intValue());
+            options.seer.max_phases = static_cast<int>(
+                args.positiveValue("interleaved phases"));
         } else if (arg == "--passes") {
             options.fixed_passes = args.value();
         } else if (arg == "--verify") {
@@ -240,10 +235,11 @@ parseArgs(int argc, char **argv, CliOptions &options)
             options.seer.pass_cache_file = args.value();
         } else if (arg == "--no-pass-cache") {
             options.seer.use_pass_cache = false;
-        } else if (arg == "--connect") {
-            options.connect_socket = args.value();
         } else if (arg == "--deadline") {
-            options.seer.deadline_seconds = args.doubleValue();
+            double deadline = args.doubleValue();
+            if (!args.failed() && deadline < 0)
+                args.fail("--deadline must be >= 0");
+            options.seer.deadline_seconds = deadline;
         } else if (arg == "--time-limit") {
             double limit = args.doubleValue();
             if (!args.failed() && limit <= 0)
@@ -288,26 +284,6 @@ parseArgs(int argc, char **argv, CliOptions &options)
         std::cerr << "seer-opt: no input file given\n";
         return false;
     }
-    if (!options.connect_socket.empty()) {
-        // The daemon runs the session; flags that reshape the pipeline
-        // itself (chaos injection, fixed pass baselines, server-side
-        // persistence paths) are local-only by design.
-        const char *conflict = nullptr;
-        if (!options.fixed_passes.empty())
-            conflict = "--passes";
-        else if (options.fault_plan)
-            conflict = "--fault-plan";
-        else if (!options.seer.extra_control_rules.empty())
-            conflict = "--inject-crash-rule";
-        else if (!options.seer.pass_cache_file.empty())
-            conflict = "--pass-cache";
-        if (conflict) {
-            std::cerr << "seer-opt: " << conflict
-                      << " cannot be combined with --connect (the "
-                         "daemon owns its own cache and pipeline)\n";
-            return false;
-        }
-    }
     return true;
 }
 
@@ -341,6 +317,46 @@ evaluateWithZeros(const seer::ir::Module &module,
                          hls_options);
 }
 
+/** Print the `; ...` stderr summary of one optimize() run. */
+void
+printRunSummary(const seer::core::SeerResult &result)
+{
+    using namespace seer::core;
+    std::ostream &out = std::cerr;
+    if (result.stats.degraded) {
+        out << "; DEGRADED: recovered from "
+            << result.stats.recovered_errors.size() << " error(s), "
+            << result.stats.phase_rollbacks << " phase rollback(s), "
+            << result.stats.quarantined_rules.size()
+            << " quarantined rule(s); output is still verified IR\n";
+    }
+    if (result.stats.deadline_hit)
+        out << "; deadline hit: exploration cut short\n";
+    if (!result.stats.cancel_reason.empty() &&
+        result.stats.cancel_reason != "deadline") {
+        out << "; canceled (" << result.stats.cancel_reason
+            << "): degraded to the best result found\n";
+    }
+    size_t exhausted = 0;
+    for (const ExtractionPhaseStats &phase : result.stats.extraction)
+        exhausted += phase.budget_exhaustions;
+    if (exhausted > 0) {
+        out << "; datapath extraction hit its search budget "
+            << exhausted
+            << " time(s): result is best-effort, not proven exact\n";
+    }
+    out << "; e-graph: " << result.stats.egraph_nodes << " nodes, "
+        << result.stats.egraph_classes << " classes, "
+        << result.stats.unions_applied << " rewrites, "
+        << result.stats.total_seconds << "s total ("
+        << result.stats.time_in_passes_seconds << "s in passes)\n";
+    const ExternalEvalStats &ev = result.stats.external_eval;
+    out << "; pass cache: " << ev.pass_cache_hits << " hits, "
+        << ev.pass_cache_misses << " misses, " << ev.evaluations
+        << " evaluations (" << ev.candidates_deduped << " deduped, "
+        << ev.verify_cache_hits << " verify hits)\n";
+}
+
 /** The end-to-end equivalence line of --verify: PASS, FAIL <why>, or
  *  inconclusive when no workload ran to completion on the input. */
 void
@@ -353,107 +369,6 @@ printEquivalence(bool ok, const std::string &diag)
         std::cerr << "inconclusive\n";
     else
         std::cerr << "PASS\n";
-}
-
-/**
- * Dispatch the request to a seer-optd daemon. Returns the process
- * exit code, or nullopt to fall back to the in-process path (socket
- * absent/refused — the daemon may simply not be running).
- */
-std::optional<int>
-runRemote(const CliOptions &options, const seer::ir::Module &input,
-          const std::string &ir_text)
-{
-    using namespace seer;
-
-    std::string error;
-    net::Fd sock = net::connectUnix(options.connect_socket, &error);
-    if (!sock.valid()) {
-        std::cerr << "; note: --connect " << options.connect_socket
-                  << " unavailable (" << error
-                  << "); running in-process\n";
-        return std::nullopt;
-    }
-
-    core::ServeRequest request =
-        core::ServeRequest::fromOptions(options.seer);
-    request.func = options.func_name;
-    request.ir_text = ir_text;
-    request.want_stats = !options.stats_file.empty();
-
-    if (net::sendFrame(sock.get(), core::serializeRequest(request),
-                       &error) != net::IoStatus::Ok) {
-        std::cerr << "seer-opt: daemon request failed: " << error
-                  << "\n";
-        return 1;
-    }
-    std::string payload;
-    if (net::recvFrame(sock.get(), payload, &error) !=
-        net::IoStatus::Ok) {
-        std::cerr << "seer-opt: daemon response failed: "
-                  << (error.empty() ? "connection closed" : error)
-                  << "\n";
-        return 1;
-    }
-    core::ServeResponse response;
-    if (!core::parseResponse(payload, &response, &error)) {
-        std::cerr << "seer-opt: bad daemon response: " << error
-                  << "\n";
-        return 1;
-    }
-
-    std::cerr << response.log;
-    if (response.exit_code == 1) {
-        std::cerr << "seer-opt: " << response.error << "\n";
-        return 1;
-    }
-    if (!options.stats_file.empty()) {
-        if (options.stats_file == "-") {
-            std::cerr << response.stats_json;
-        } else {
-            std::ofstream stats_out(options.stats_file);
-            if (!stats_out) {
-                std::cerr << "seer-opt: cannot open "
-                          << options.stats_file << "\n";
-                return 1;
-            }
-            stats_out << response.stats_json;
-        }
-    }
-    if (!options.quiet)
-        std::cout << response.output_ir;
-
-    int exit_code = response.exit_code;
-    if (options.verify || options.report) {
-        ir::Module output = ir::parseModule(response.output_ir);
-        if (options.verify) {
-            std::string diag;
-            bool ok = core::checkModuleEquivalence(
-                input, output, options.func_name, {}, &diag);
-            printEquivalence(ok, diag);
-            std::cerr << "; translation validation: server-side "
-                         "(records not transmitted)\n";
-            if (!ok)
-                exit_code = 1;
-        }
-        if (options.report && exit_code != 1) {
-            hls::HlsReport before =
-                evaluateWithZeros(input, options.func_name, false);
-            hls::HlsReport after =
-                evaluateWithZeros(output, options.func_name, true);
-            std::cerr << "; baseline: " << before.total_cycles
-                      << " cycles, " << before.area_um2 << " um2, "
-                      << before.power_mw << " mW\n";
-            std::cerr << "; optimized: " << after.total_cycles
-                      << " cycles, " << after.area_um2 << " um2, "
-                      << after.power_mw << " mW\n";
-            std::cerr << "; speedup: "
-                      << static_cast<double>(before.total_cycles) /
-                             static_cast<double>(after.total_cycles)
-                      << "x\n";
-        }
-    }
-    return exit_code;
 }
 
 } // namespace
@@ -491,17 +406,6 @@ main(int argc, char **argv)
             options.func_name = first->strAttr("sym_name");
         }
 
-        if (!options.connect_socket.empty()) {
-            // Client mode: the daemon runs the same core::runSession
-            // path the in-process arm rides, so the optimized IR is
-            // byte-identical either way. A missing daemon falls back
-            // to in-process transparently.
-            std::optional<int> remote =
-                runRemote(options, input, text.str());
-            if (remote)
-                return *remote;
-        }
-
         ir::Module output;
         core::SeerResult result;
         bool degraded = false;
@@ -523,7 +427,7 @@ main(int argc, char **argv)
             chaos.reset();
             output = ir::cloneModule(result.module);
             degraded = result.stats.degraded;
-            std::cerr << core::summarizeRun(result);
+            printRunSummary(result);
             if (!options.stats_file.empty()) {
                 std::string text = core::toJson(result.stats).dump(2);
                 text += "\n";
