@@ -68,6 +68,9 @@ classHas(const EGraph &egraph, EClassId id, SymbolPred pred)
  * Local extraction (Section 4.5): pick nodes satisfying `pred` as the
  * root and extract children with the analysis-friendly cost, so the
  * external pass is handed polyhedral-analyzable index expressions.
+ * Children go through the context's greedy memo: the prepare hook and
+ * the applier extract the same classes, and many matches share
+ * children, on an e-graph that has not changed in between.
  * Returns up to `max_candidates` candidate terms (a class may hold both
  * the original loop and, say, its unrolled chain; the pass may apply to
  * either representative).
@@ -94,12 +97,12 @@ extractAllRooted(const EGraph &egraph, EClassId id, SymbolPred pred,
         std::vector<TermPtr> children;
         bool feasible = true;
         for (EClassId child : node.children) {
-            auto extraction = extractGreedy(egraph, child, cost);
-            if (!extraction) {
+            TermPtr term = ctx->local_extraction.extract(egraph, child, cost);
+            if (!term) {
                 feasible = false;
                 break;
             }
-            children.push_back(extraction->term);
+            children.push_back(std::move(term));
         }
         if (feasible)
             out.push_back(eg::makeTerm(node.op, std::move(children)));

@@ -52,6 +52,9 @@ struct ExternalRuleContext
      *  one stateless instance serves any graph). */
     rover::AnalysisFriendlyCost friendly_cost;
     rover::RoverAreaCost area_cost;
+    /** Greedy memo of local extraction over the one e-graph these
+     *  rules rewrite. optimize() drops it when exploration ends. */
+    eg::GreedyMemo local_extraction;
     /**
      * The propose/evaluate seam: phase objects (attempt memo,
      * worker-pool fan-out, serial-fold feedback) plus the proposal

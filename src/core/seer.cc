@@ -618,6 +618,12 @@ class OptimizeDriver
         }
         result_.stats.rejected_externals = context_->rejected_results;
         result_.stats.rejection_details = context_->rejections;
+        result_.stats.local_extractions =
+            context_->local_extraction.calls();
+        result_.stats.local_extraction_hits =
+            context_->local_extraction.hits();
+        // Exploration is over: release the terms the memo pins.
+        context_->local_extraction = eg::GreedyMemo{};
     }
 
     void
@@ -787,6 +793,8 @@ toJson(const SeerStats &stats)
     out.set("egraph_nodes", stats.egraph_nodes);
     out.set("egraph_classes", stats.egraph_classes);
     out.set("unions_applied", stats.unions_applied);
+    out.set("local_extractions", stats.local_extractions);
+    out.set("local_extraction_hits", stats.local_extraction_hits);
     out.set("time_in_passes_seconds", stats.time_in_passes_seconds);
     out.set("time_in_egraph_seconds", stats.time_in_egraph_seconds);
     out.set("total_seconds", stats.total_seconds);

@@ -180,6 +180,11 @@ struct SeerStats
     double time_in_egraph_seconds = 0; ///< "Time in egg"
     double total_seconds = 0;
     size_t unions_applied = 0;
+    /** Local extractions (Section 4.5) made by the external rules, and
+     *  those the context's greedy memo answered from an earlier call
+     *  on the unchanged e-graph. */
+    size_t local_extractions = 0;
+    size_t local_extraction_hits = 0;
     /** Every applied rewrite, for translation validation. */
     std::vector<eg::RewriteRecord> records;
     /** Per-rule scheduler/profiling stats, aggregated by rule name over

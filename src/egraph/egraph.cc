@@ -748,6 +748,9 @@ EGraph::debugCheckInvariants() const
     }
     // Operator-index completeness: every live node must be reachable
     // through some (possibly stale) candidate entry for its (op, arity).
+    // Each bucket is resolved through find() once, on first use, into
+    // its sorted canonical classes; a node then costs one search.
+    std::unordered_map<const OpBucket *, std::vector<EClassId>> resolved;
     for (EClassId id = 0; id < parents_.size(); ++id) {
         if (parents_[id] != id)
             continue;
@@ -757,12 +760,19 @@ EGraph::debugCheckInvariants() const
                 static_cast<uint32_t>(node.children.size()));
             bool reachable = false;
             if (bucket != nullptr) {
-                for (EClassId entry : *bucket) {
-                    if (find(entry) == id) {
-                        reachable = true;
-                        break;
-                    }
+                auto [it, fresh] = resolved.try_emplace(bucket);
+                std::vector<EClassId> &classes = it->second;
+                if (fresh) {
+                    classes.reserve(bucket->size());
+                    for (EClassId entry : *bucket)
+                        classes.push_back(find(entry));
+                    std::sort(classes.begin(), classes.end());
+                    classes.erase(
+                        std::unique(classes.begin(), classes.end()),
+                        classes.end());
                 }
+                reachable = std::binary_search(classes.begin(),
+                                               classes.end(), id);
             }
             if (!reachable) {
                 return MsgBuilder()

@@ -282,10 +282,17 @@ class EGraph
     /**
      * Self-check of the core invariants (canonical class keys, hashcons
      * consistency, live memo values, every id resolving to a live
-     * class, dead class slots left empty). Returns an empty string when
-     * consistent, else a diagnostic. Node-level hashcons checks require
-     * a clean graph (rebuild first). Intended for tests — O(graph) per
-     * call.
+     * class, dead class slots left empty, every live node reachable
+     * through the op index) and of every registered analysis against
+     * its from-scratch recomputation. Returns an empty string when
+     * consistent, else the first failure found. Node-level hashcons
+     * checks require a clean graph (rebuild first).
+     *
+     * This is the phase commit gate: the optimizer runs it after every
+     * saturation phase and rolls the phase back on a failure. Its cost
+     * is linear in the graph — one pass over ids, nodes and hashcons
+     * entries, with each op-index bucket resolved through find() once
+     * per call and sorted — plus each analysis's own recomputation.
      */
     std::string debugCheckInvariants() const;
 

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <deque>
+#include <functional>
 #include <new>
-#include <set>
+#include <unordered_set>
 
 #include "support/error.h"
 #include "support/fault_inject.h"
@@ -12,6 +13,9 @@
 namespace seer::eg {
 
 namespace {
+
+using ChoiceMap = std::unordered_map<EClassId, int>;
+using TermMemo = std::unordered_map<EClassId, TermPtr>;
 
 /**
  * Exact lexicographic (cost, size) comparison — no epsilon. Used for
@@ -294,8 +298,7 @@ chooseNode(const EGraph &egraph, const CostModel &cost,
 /** Memoized chooseNode over a term's support. */
 int
 chosenNodeOf(const EGraph &egraph, const CostModel &cost,
-             const BoundTable &table, EClassId id,
-             std::map<EClassId, int> &choice)
+             const BoundTable &table, EClassId id, ChoiceMap &choice)
 {
     auto it = choice.find(id);
     if (it != choice.end())
@@ -307,10 +310,8 @@ chosenNodeOf(const EGraph &egraph, const CostModel &cost,
 
 TermPtr
 buildGreedyTerm(const EGraph &egraph, const CostModel &cost,
-                const BoundTable &table, EClassId id,
-                std::map<EClassId, int> &choice,
-                std::map<EClassId, TermPtr> &memo,
-                std::set<EClassId> &visiting)
+                const BoundTable &table, EClassId id, ChoiceMap &choice,
+                TermMemo &memo, std::unordered_set<EClassId> &visiting)
 {
     id = egraph.find(id);
     auto done = memo.find(id);
@@ -336,10 +337,10 @@ buildGreedyTerm(const EGraph &egraph, const CostModel &cost,
 
 /** DAG cost of a complete choice: each distinct class counted once. */
 double
-dagCostOf(const EGraph &egraph, EClassId root,
-          const std::map<EClassId, int> &choice, const CostModel &cost)
+dagCostOf(const EGraph &egraph, EClassId root, const ChoiceMap &choice,
+          const CostModel &cost)
 {
-    std::set<EClassId> seen;
+    std::unordered_set<EClassId> seen;
     std::vector<EClassId> stack{egraph.find(root)};
     double total = 0;
     while (!stack.empty()) {
@@ -358,10 +359,9 @@ dagCostOf(const EGraph &egraph, EClassId root,
 
 /** Distinct classes in the support of a complete choice. */
 size_t
-supportSize(const EGraph &egraph, EClassId root,
-            const std::map<EClassId, int> &choice)
+supportSize(const EGraph &egraph, EClassId root, const ChoiceMap &choice)
 {
-    std::set<EClassId> seen;
+    std::unordered_set<EClassId> seen;
     std::vector<EClassId> stack{egraph.find(root)};
     while (!stack.empty()) {
         EClassId id = stack.back();
@@ -376,39 +376,11 @@ supportSize(const EGraph &egraph, EClassId root,
     return seen.size();
 }
 
-/** Check the chosen-node graph reachable from root is acyclic. */
-bool
-choiceAcyclic(const EGraph &egraph, EClassId root,
-              const std::map<EClassId, int> &choice)
-{
-    enum State { White, Grey, Black };
-    std::map<EClassId, State> state;
-    std::function<bool(EClassId)> dfs = [&](EClassId id) {
-        id = egraph.find(id);
-        State &s = state[id];
-        if (s == Grey)
-            return false;
-        if (s == Black)
-            return true;
-        s = Grey;
-        const ENode &node = egraph.eclass(id).nodes[static_cast<size_t>(
-            choice.at(id))];
-        for (EClassId child : node.children) {
-            if (!dfs(child))
-                return false;
-        }
-        state[id] = Black;
-        return true;
-    };
-    return dfs(root);
-}
-
 /** Build the term DAG for a complete acyclic choice (as a tree with
  *  structural sharing through shared_ptr reuse). */
 TermPtr
-buildChoiceTerm(const EGraph &egraph, EClassId id,
-                const std::map<EClassId, int> &choice,
-                std::map<EClassId, TermPtr> &memo)
+buildChoiceTerm(const EGraph &egraph, EClassId id, const ChoiceMap &choice,
+                TermMemo &memo)
 {
     id = egraph.find(id);
     auto it = memo.find(id);
@@ -425,7 +397,21 @@ buildChoiceTerm(const EGraph &egraph, EClassId id,
     return term;
 }
 
-/** Branch-and-bound exact DAG extraction. */
+/**
+ * Branch-and-bound exact DAG extraction.
+ *
+ * The search state lives in dense arrays indexed by class id, sized
+ * once per solve and reused by every expansion: the partial choice
+ * (-1 = unchosen), membership flags of the pending frontier, an
+ * epoch-stamped "counted" set for the bound's closure walk, and the
+ * class-memo index. The frontier itself is a vector kept in descending
+ * id order, so the smallest pending class — the next one expanded —
+ * sits at the back, and reverse iteration yields the ascending order
+ * the bound sums in. Visit order, floating-point summation order, memo
+ * charging and the budget cut-off are those of the ordered-set search
+ * this replaced (ExtractDifferentialTest.ExactSearchReplaysAtEveryBudget
+ * holds the recorded counts).
+ */
 class ExactSolver
 {
   public:
@@ -452,14 +438,19 @@ class ExactSolver
             return std::nullopt;
 
         // Seed the incumbent with the greedy choice evaluated as a DAG.
-        std::map<EClassId, int> greedy_choice;
+        ChoiceMap greedy_choice;
         collectGreedyChoice(root, greedy_choice);
         best_choice_ = greedy_choice;
         best_cost_ = dagCostOf(egraph_, root, greedy_choice, cost_);
 
-        std::map<EClassId, int> choice;
-        std::set<EClassId> pending{root};
-        search(choice, pending, 0.0, root);
+        size_t ids = egraph_.numIds();
+        choice_.assign(ids, -1);
+        in_pending_.assign(ids, 0);
+        counted_.assign(ids, 0);
+        memo_index_.assign(ids, kNoMemo);
+        pending_.assign(1, root);
+        in_pending_[root] = 1;
+        search(0.0, root);
 
         stats_.expansions += expansions_;
         stats_.bound_prunes += prunes_;
@@ -467,7 +458,7 @@ class ExactSolver
             stats_.budget_exhausted || budget_exhausted_;
         stats_.classes_visited += supportSize(egraph_, root, best_choice_);
 
-        std::map<EClassId, TermPtr> memo;
+        TermMemo memo;
         Extraction out;
         out.term = buildChoiceTerm(egraph_, root, best_choice_, memo);
         out.dag_cost = best_cost_;
@@ -476,6 +467,8 @@ class ExactSolver
     }
 
   private:
+    static constexpr uint32_t kNoMemo = ~uint32_t{0};
+
     ExtractOptions
     opts() const
     {
@@ -487,7 +480,7 @@ class ExactSolver
 
     /** Greedy choices over the support of `id` (the incumbent). */
     void
-    collectGreedyChoice(EClassId id, std::map<EClassId, int> &choice)
+    collectGreedyChoice(EClassId id, ChoiceMap &choice)
     {
         id = egraph_.find(id);
         if (choice.count(id))
@@ -512,26 +505,31 @@ class ExactSolver
     }
 
     /** Per-class search memo: self costs, min self cost, candidate
-     *  order, and the classes every feasible node needs (for the
-     *  inevitable-children bound). Computed once per class — the old
-     *  code re-sorted candidates on every visit. */
+     *  order, which nodes have only feasible children, and the classes
+     *  every feasible node needs (for the inevitable-children bound).
+     *  Computed once per class. */
     struct ClassMemo
     {
         std::vector<double> self;
         std::vector<int> order;
+        std::vector<uint8_t> feasible;
         double min_self = CostModel::kInfinity;
-        /** Intersection of canonical child sets over feasible nodes:
-         *  classes any completion through this class must also pay. */
+        /** Intersection of canonical child sets over feasible nodes,
+         *  ascending: classes any completion through this class must
+         *  also pay. */
         std::vector<EClassId> required;
     };
 
     const ClassMemo &
     classMemo(EClassId id)
     {
-        auto [it, inserted] = memo_.try_emplace(id);
-        ClassMemo &m = it->second;
-        if (!inserted)
-            return m;
+        uint32_t &slot = memo_index_[id];
+        if (slot != kNoMemo)
+            return memos_[slot];
+        slot = static_cast<uint32_t>(memos_.size());
+        // A deque: references handed out stay valid while the
+        // recursion below them creates further memos.
+        ClassMemo &m = memos_.emplace_back();
         const EClass &cls = egraph_.eclass(id);
         // Account the memo before filling it: the per-class memos are
         // where exact-search memory actually accumulates.
@@ -542,6 +540,7 @@ class ExactSolver
             budget_exhausted_ = true; // breach: finish with best-so-far
         m.self.resize(cls.nodes.size());
         m.order.resize(cls.nodes.size());
+        m.feasible.assign(cls.nodes.size(), 0);
         for (size_t i = 0; i < cls.nodes.size(); ++i) {
             m.self[i] = cost_.nodeCostInClass(egraph_, cls.nodes[i]);
             m.order[i] = static_cast<int>(i);
@@ -552,11 +551,9 @@ class ExactSolver
                    m.self[static_cast<size_t>(b)];
         });
         bool first = true;
-        std::set<EClassId> inter;
+        std::vector<EClassId> kids;
         for (size_t i = 0; i < cls.nodes.size(); ++i) {
-            if (m.self[i] == CostModel::kInfinity)
-                continue;
-            std::set<EClassId> kids;
+            kids.clear();
             bool feasible = true;
             for (EClassId child : cls.nodes[i].children) {
                 EClassId c = egraph_.find(child);
@@ -564,24 +561,52 @@ class ExactSolver
                     feasible = false;
                     break;
                 }
-                kids.insert(c);
+                kids.push_back(c);
             }
-            if (!feasible)
+            m.feasible[i] = feasible;
+            if (!feasible || m.self[i] == CostModel::kInfinity)
                 continue;
+            std::sort(kids.begin(), kids.end());
+            kids.erase(std::unique(kids.begin(), kids.end()), kids.end());
             if (first) {
-                inter = std::move(kids);
+                m.required = kids;
                 first = false;
             } else {
-                for (auto cur = inter.begin(); cur != inter.end();) {
-                    if (!kids.count(*cur))
-                        cur = inter.erase(cur);
-                    else
-                        ++cur;
-                }
+                std::vector<EClassId> both;
+                std::set_intersection(m.required.begin(),
+                                      m.required.end(), kids.begin(),
+                                      kids.end(), std::back_inserter(both));
+                m.required.swap(both);
             }
         }
-        m.required.assign(inter.begin(), inter.end());
         return m;
+    }
+
+    bool
+    decided(EClassId id) const
+    {
+        return choice_[id] >= 0 || in_pending_[id];
+    }
+
+    /** Insert into the descending frontier. */
+    void
+    pushPending(EClassId id)
+    {
+        auto at = std::lower_bound(pending_.begin(), pending_.end(), id,
+                                   std::greater<EClassId>());
+        pending_.insert(at, id);
+        in_pending_[id] = 1;
+    }
+
+    void
+    erasePending(EClassId id)
+    {
+        auto at = std::lower_bound(pending_.begin(), pending_.end(), id,
+                                   std::greater<EClassId>());
+        SEER_ASSERT(at != pending_.end() && *at == id,
+                    "exact search frontier lost class " << id);
+        pending_.erase(at);
+        in_pending_[id] = 0;
     }
 
     /**
@@ -593,34 +618,74 @@ class ExactSolver
      * bite before the budget on shared-subexpression graphs.
      */
     double
-    boundOf(double cost_so_far, const std::map<EClassId, int> &choice,
-            const std::set<EClassId> &pending)
+    boundOf(double cost_so_far)
     {
         double bound = cost_so_far;
-        for (EClassId id : pending)
-            bound += classMemo(id).min_self;
+        for (auto it = pending_.rbegin(); it != pending_.rend(); ++it)
+            bound += classMemo(*it).min_self;
         if (naive_)
             return bound;
-        std::set<EClassId> counted;
-        std::vector<EClassId> walk(pending.begin(), pending.end());
-        while (!walk.empty()) {
-            EClassId id = walk.back();
-            walk.pop_back();
+        if (++epoch_ == 0) { // wrapped: no stale stamp may match
+            std::fill(counted_.begin(), counted_.end(), 0);
+            epoch_ = 1;
+        }
+        walk_.assign(pending_.rbegin(), pending_.rend());
+        while (!walk_.empty()) {
+            EClassId id = walk_.back();
+            walk_.pop_back();
             for (EClassId req : classMemo(id).required) {
-                if (choice.count(req) || pending.count(req))
+                if (decided(req) || counted_[req] == epoch_)
                     continue;
-                if (!counted.insert(req).second)
-                    continue;
+                counted_[req] = epoch_;
                 bound += classMemo(req).min_self;
-                walk.push_back(req);
+                walk_.push_back(req);
             }
         }
         return bound;
     }
 
+    enum Color : uint8_t { kWhite, kGrey, kBlack };
+
+    /** The chosen-node graph reachable from `id` is acyclic (DFS
+     *  colors; the caller resets them). */
+    bool
+    acyclicFrom(EClassId id)
+    {
+        id = egraph_.find(id);
+        if (color_[id] == kGrey)
+            return false;
+        if (color_[id] == kBlack)
+            return true;
+        color_[id] = kGrey;
+        const ENode &node = egraph_.eclass(id).nodes[static_cast<size_t>(
+            choice_[id])];
+        for (EClassId child : node.children) {
+            if (!acyclicFrom(child))
+                return false;
+        }
+        color_[id] = kBlack;
+        return true;
+    }
+
+    /** A complete choice: accept it as the incumbent when acyclic. */
     void
-    search(std::map<EClassId, int> &choice, std::set<EClassId> &pending,
-           double cost_so_far, EClassId root)
+    complete(double cost, EClassId root)
+    {
+        color_.resize(choice_.size(), kWhite);
+        bool acyclic = acyclicFrom(root);
+        // Every class the walk colored is chosen: pending is empty.
+        for (EClassId id : chosen_)
+            color_[id] = kWhite;
+        if (!acyclic)
+            return;
+        best_cost_ = cost;
+        best_choice_.clear();
+        for (EClassId id : chosen_)
+            best_choice_.emplace(id, choice_[id]);
+    }
+
+    void
+    search(double cost_so_far, EClassId root)
     {
         if (expansions_++ > budget_) {
             budget_exhausted_ = true;
@@ -634,51 +699,47 @@ class ExactSolver
             budget_exhausted_ = true;
             return;
         }
-        if (boundOf(cost_so_far, choice, pending) >= best_cost_) {
+        if (boundOf(cost_so_far) >= best_cost_) {
             ++prunes_;
             return;
         }
-        if (pending.empty()) {
-            if (choiceAcyclic(egraph_, root, choice)) {
-                best_cost_ = cost_so_far;
-                best_choice_ = choice;
-            }
+        if (pending_.empty()) {
+            complete(cost_so_far, root);
             return;
         }
-        EClassId id = *pending.begin();
-        pending.erase(pending.begin());
+        EClassId id = pending_.back();
+        pending_.pop_back();
+        in_pending_[id] = 0;
 
         const EClass &cls = egraph_.eclass(id);
         const ClassMemo &m = classMemo(id);
         for (int n : m.order) {
-            const ENode &node = cls.nodes[static_cast<size_t>(n)];
-            double self = m.self[static_cast<size_t>(n)];
+            size_t i = static_cast<size_t>(n);
+            double self = m.self[i];
             if (self == CostModel::kInfinity)
                 break;
-            // Skip nodes with infeasible children.
-            bool feasible = true;
-            for (EClassId child : node.children) {
-                if (table_.at(egraph_.find(child)).cost ==
-                    CostModel::kInfinity) {
-                    feasible = false;
-                    break;
+            if (!m.feasible[i])
+                continue; // a child has no finite-cost derivation
+            choice_[id] = n;
+            chosen_.push_back(id);
+            size_t mark = added_.size();
+            for (EClassId child : cls.nodes[i].children) {
+                EClassId c = egraph_.find(child);
+                if (!decided(c)) {
+                    pushPending(c);
+                    added_.push_back(c);
                 }
             }
-            if (!feasible)
-                continue;
-            choice[id] = n;
-            std::vector<EClassId> added;
-            for (EClassId child : node.children) {
-                EClassId c = egraph_.find(child);
-                if (!choice.count(c) && pending.insert(c).second)
-                    added.push_back(c);
+            search(cost_so_far + self, root);
+            while (added_.size() > mark) {
+                erasePending(added_.back());
+                added_.pop_back();
             }
-            search(choice, pending, cost_so_far + self, root);
-            for (EClassId c : added)
-                pending.erase(c);
-            choice.erase(id);
+            chosen_.pop_back();
+            choice_[id] = -1;
         }
-        pending.insert(id);
+        pending_.push_back(id); // still the smallest: back of the order
+        in_pending_[id] = 1;
     }
 
     const EGraph &egraph_;
@@ -692,8 +753,23 @@ class ExactSolver
     size_t prunes_ = 0;
     bool budget_exhausted_ = false;
     BoundTable table_;
-    std::unordered_map<EClassId, ClassMemo> memo_;
-    std::map<EClassId, int> best_choice_;
+    std::deque<ClassMemo> memos_;
+    std::vector<uint32_t> memo_index_;
+    /** Partial choice: node index per class, -1 when unchosen. */
+    std::vector<int> choice_;
+    /** Chosen classes in choice order (a stack, as the recursion). */
+    std::vector<EClassId> chosen_;
+    /** Pending frontier, descending, with membership flags. */
+    std::vector<EClassId> pending_;
+    std::vector<uint8_t> in_pending_;
+    /** Frontier entries each recursion level added (popped on return). */
+    std::vector<EClassId> added_;
+    /** boundOf's closure walk and its epoch-stamped counted set. */
+    std::vector<EClassId> walk_;
+    std::vector<uint32_t> counted_;
+    uint32_t epoch_ = 0;
+    std::vector<Color> color_;
+    ChoiceMap best_choice_;
     double best_cost_ = CostModel::kInfinity;
 };
 
@@ -949,9 +1025,9 @@ extractGreedy(const EGraph &egraph, EClassId root, const CostModel &cost,
     BoundTable table = makeTable(egraph, cost, canonical, options, stats);
     if (table.at(canonical).cost == CostModel::kInfinity)
         return std::nullopt;
-    std::map<EClassId, int> choice;
-    std::map<EClassId, TermPtr> memo;
-    std::set<EClassId> visiting;
+    ChoiceMap choice;
+    TermMemo memo;
+    std::unordered_set<EClassId> visiting;
     Extraction out;
     out.term = buildGreedyTerm(egraph, cost, table, canonical, choice,
                                memo, visiting);
@@ -965,6 +1041,51 @@ std::optional<Extraction>
 extractGreedy(const EGraph &egraph, EClassId root, const CostModel &cost)
 {
     return extractGreedy(egraph, root, cost, ExtractOptions{});
+}
+
+TermPtr
+GreedyMemo::extract(const EGraph &egraph, EClassId root,
+                    const CostModel &cost)
+{
+    // The same entry fault as extractGreedy, hit or miss, so a fault
+    // plan fires on the same call either way.
+    if (faultFire(FaultPoint::ExtractAlloc))
+        throw std::bad_alloc();
+    ++calls_;
+    auto it = std::find_if(
+        states_.begin(), states_.end(),
+        [&](const State &state) { return state.model == &cost; });
+    if (it == states_.end()) {
+        it = states_.emplace(states_.end());
+        it->model = &cost;
+    }
+    State &state = *it;
+    if (state.egraph != &egraph || state.tick != egraph.tick() ||
+        state.generation != egraph.rollbackGeneration() ||
+        state.revision != cost.revision()) {
+        state.egraph = &egraph;
+        state.tick = egraph.tick();
+        state.generation = egraph.rollbackGeneration();
+        state.revision = cost.revision();
+        state.choice.clear();
+        state.terms.clear();
+    }
+    EClassId canonical = egraph.find(root);
+    if (auto done = state.terms.find(canonical);
+        done != state.terms.end()) {
+        ++hits_;
+        return done->second;
+    }
+    ExtractStats stats;
+    BoundTable table =
+        makeTable(egraph, cost, canonical, ExtractOptions{}, stats);
+    if (table.at(canonical).cost == CostModel::kInfinity) {
+        state.terms.emplace(canonical, nullptr);
+        return nullptr;
+    }
+    std::unordered_set<EClassId> visiting;
+    return buildGreedyTerm(egraph, cost, table, canonical, state.choice,
+                           state.terms, visiting);
 }
 
 TermPtr

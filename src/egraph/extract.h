@@ -291,6 +291,53 @@ std::optional<Extraction> extractGreedy(const EGraph &egraph,
                                         const CostModel &cost,
                                         const ExtractOptions &options);
 
+/**
+ * Greedy extraction memoized across calls: one choice and term memo per
+ * (cost model, e-graph state). The state is the graph's mutation clock
+ * (EGraph::tick), its rollback generation and the model's revision().
+ * Every change that can move a greedy choice advances one of the three —
+ * an add, a merge, a rebuild that repairs merges, a rollback, a touch of
+ * the model's external inputs — and the next call then starts a fresh
+ * memo for that model. Within one state each class's greedy term is a
+ * pure function of the graph and the model, so a memoized term, and
+ * every subterm it shares with earlier answers, prints exactly what a
+ * fresh extractGreedy builds.
+ *
+ * One memo serves one e-graph, and its owner drops it with the graph:
+ * the key cannot tell a new graph at a recycled address, whose clock
+ * restarts, from the old one. Serial use only, like the extractors.
+ */
+class GreedyMemo
+{
+  public:
+    /** The term extractGreedy(egraph, root, cost) returns, or nullptr
+     *  when `root` has no finite-cost derivation. */
+    TermPtr extract(const EGraph &egraph, EClassId root,
+                    const CostModel &cost);
+
+    /** Calls so far, and those a memoized root term answered. */
+    size_t calls() const { return calls_; }
+    size_t hits() const { return hits_; }
+
+  private:
+    struct State
+    {
+        const CostModel *model = nullptr;
+        const EGraph *egraph = nullptr;
+        uint64_t tick = 0;
+        uint64_t generation = 0;
+        uint64_t revision = 0;
+        std::unordered_map<EClassId, int> choice;
+        /** Greedy term per canonical class; nullptr marks a root with
+         *  no finite-cost derivation. */
+        std::unordered_map<EClassId, TermPtr> terms;
+    };
+    /** One state per cost model (a run uses one or two). */
+    std::vector<State> states_;
+    size_t calls_ = 0;
+    size_t hits_ = 0;
+};
+
 /** Smallest-term extraction (greedy under TermSizeCost). */
 TermPtr extractSmallest(const EGraph &egraph, EClassId root);
 

@@ -206,6 +206,25 @@ TEST(SeerTest, StatsArePopulated)
     EXPECT_NE(result.extracted_term, nullptr);
 }
 
+/** The local-extraction memo belongs to one run. Two runs in a row,
+ *  whose e-graphs may occupy the same address with clocks restarting
+ *  from zero, make the same extractions with the same memo hits: the
+ *  second run found nothing the first left behind. */
+TEST(SeerTest, OptimizeCallsShareNoLocalExtractionMemo)
+{
+    Module input = parseModule(kSeqLoops);
+    SeerResult first = optimize(input, "seq_loops");
+    SeerResult second = optimize(input, "seq_loops");
+    EXPECT_GT(first.stats.local_extraction_hits, 0u);
+    EXPECT_LT(first.stats.local_extraction_hits,
+              first.stats.local_extractions);
+    EXPECT_EQ(second.stats.local_extractions,
+              first.stats.local_extractions);
+    EXPECT_EQ(second.stats.local_extraction_hits,
+              first.stats.local_extraction_hits);
+    EXPECT_EQ(toString(second.module), toString(first.module));
+}
+
 TEST(SeerTest, RegistryCoversExtractedLoops)
 {
     Module input = parseModule(kSeqLoops);

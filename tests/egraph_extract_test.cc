@@ -272,6 +272,71 @@ TEST(ExtractDifferentialTest, RunnerQuarantineAndRollbackKeepBitIdentity)
     ASSERT_EQ(eg.debugCheckInvariants(), "");
 }
 
+/** The random graphs of the exact-extraction tests: 20 mutation steps
+ *  from the leaf seeds, rooted at a random id. */
+EClassId
+seededExactGraph(EGraph &eg, uint32_t seed)
+{
+    std::mt19937 rng(seed);
+    registerCostBound(eg, kToy);
+    std::vector<EClassId> ids = seedLeaves(eg);
+    mutate(eg, ids, rng, 20);
+    return ids[rng() % ids.size()];
+}
+
+/** A deep chain with two nodes per class whose child sets differ: the
+ *  non-shared children keep the admissible bound strictly below the
+ *  optimum, so the search must descend one class per link and a budget
+ *  of 1 is guaranteed to run out. */
+EClassId
+chainExactGraph(EGraph &eg)
+{
+    registerCostBound(eg, kToy);
+    std::vector<EClassId> ids = seedLeaves(eg);
+    EClassId root = ids[0];
+    for (int i = 0; i < 12; ++i) {
+        EClassId next = eg.add(ENode{Symbol("f"), {root, ids[1]}});
+        eg.merge(next, eg.add(ENode{Symbol("h"), {root, ids[3]}}));
+        eg.rebuild();
+        root = eg.find(next);
+    }
+    return root;
+}
+
+/** A six-level lattice of three-node classes over shared neighbours:
+ *  enough alternative sharings that the exact search needs a few
+ *  thousand expansions, so a mid-size budget cuts it before the
+ *  optimum. */
+EClassId
+gridExactGraph(EGraph &eg)
+{
+    registerCostBound(eg, kToy);
+    std::vector<EClassId> leaves = seedLeaves(eg);
+    std::vector<EClassId> row = {leaves[0], leaves[1], leaves[2],
+                                 leaves[3], leaves[0]};
+    for (size_t level = 0; level < 6; ++level) {
+        std::vector<EClassId> next;
+        for (size_t j = 0; j + 1 < row.size(); ++j) {
+            EClassId x =
+                eg.add(ENode{Symbol("f"), {row[j], row[j + 1]}});
+            eg.merge(x, eg.add(ENode{Symbol("k"),
+                                     {row[j + 1], row[j],
+                                      leaves[(j + level) % 4]}}));
+            eg.merge(x, eg.add(ENode{Symbol("g"),
+                                     {row[(j + 2) % row.size()]}}));
+            next.push_back(x);
+        }
+        eg.rebuild();
+        next.push_back(next[0]);
+        for (EClassId &id : next)
+            id = eg.find(id);
+        row = next;
+    }
+    EClassId root = eg.add(ENode{Symbol("k"), {row[0], row[1], row[2]}});
+    eg.rebuild();
+    return root;
+}
+
 /** Exact extraction: the analysis-backed arm (with the stronger
  *  inevitable-children bound) returns the same optimum as the naive
  *  weak-bound arm whenever neither exhausts its budget, with no more
@@ -279,12 +344,8 @@ TEST(ExtractDifferentialTest, RunnerQuarantineAndRollbackKeepBitIdentity)
 TEST(ExtractDifferentialTest, ExactIncrementalEqualsNaive)
 {
     for (uint32_t seed = 1; seed <= 25; ++seed) {
-        std::mt19937 rng(seed);
         EGraph eg;
-        registerCostBound(eg, kToy);
-        std::vector<EClassId> ids = seedLeaves(eg);
-        mutate(eg, ids, rng, 20);
-        EClassId root = ids[rng() % ids.size()];
+        EClassId root = seededExactGraph(eg, seed);
 
         ExtractStats inc_stats, naive_stats;
         ExtractOptions inc;
@@ -318,19 +379,7 @@ TEST(ExtractDifferentialTest, ExactIncrementalEqualsNaive)
 TEST(ExtractDifferentialTest, BudgetExhaustionReported)
 {
     EGraph eg;
-    registerCostBound(eg, kToy);
-    std::vector<EClassId> ids = seedLeaves(eg);
-    // A deep chain with two nodes per class whose child sets differ:
-    // the non-shared children keep the admissible bound strictly below
-    // the optimum, so the search must descend one class per link and a
-    // budget of 1 is guaranteed to run out.
-    EClassId root = ids[0];
-    for (int i = 0; i < 12; ++i) {
-        EClassId next = eg.add(ENode{Symbol("f"), {root, ids[1]}});
-        eg.merge(next, eg.add(ENode{Symbol("h"), {root, ids[3]}}));
-        eg.rebuild();
-        root = eg.find(next);
-    }
+    EClassId root = chainExactGraph(eg);
 
     auto greedy = extractGreedy(eg, root, kToy);
     ASSERT_TRUE(greedy.has_value());
@@ -343,6 +392,428 @@ TEST(ExtractDifferentialTest, BudgetExhaustionReported)
     ASSERT_TRUE(exact.has_value());
     EXPECT_TRUE(stats.budget_exhausted);
     EXPECT_LE(exact->dag_cost, greedy->dag_cost + 1e-9);
+}
+
+/** One recorded exact-search outcome (see ExactSearchReplaysAtEveryBudget). */
+struct ExactReplay
+{
+    /** 1..25: seededExactGraph(graph); 0: chainExactGraph; -1:
+     *  gridExactGraph. */
+    int graph;
+    bool naive;
+    size_t budget;
+    size_t expansions;
+    size_t bound_prunes;
+    bool budget_exhausted;
+    double dag_cost;
+    const char *term; ///< nullptr: the root is infeasible
+};
+
+// clang-format off
+const ExactReplay kExactReplays[] = {
+    {0, false, 1, 3, 1, true, 30,
+     "(f (f (f (f (f (f (f (f (f (f (f (f a b) b) b) b) b) b) b) b) b)"
+     " b) b) b)"},
+    {0, false, 10, 3, 2, false, 30,
+     "(f (f (f (f (f (f (f (f (f (f (f (f a b) b) b) b) b) b) b) b) b)"
+     " b) b) b)"},
+    {0, false, 1000, 3, 2, false, 30,
+     "(f (f (f (f (f (f (f (f (f (f (f (f a b) b) b) b) b) b) b) b) b)"
+     " b) b) b)"},
+    {0, false, 200000, 3, 2, false, 30,
+     "(f (f (f (f (f (f (f (f (f (f (f (f a b) b) b) b) b) b) b) b) b)"
+     " b) b) b)"},
+    {0, true, 1, 4, 0, true, 30,
+     "(f (f (f (f (f (f (f (f (f (f (f (f a b) b) b) b) b) b) b) b) b)"
+     " b) b) b)"},
+    {0, true, 10, 22, 0, true, 30,
+     "(f (f (f (f (f (f (f (f (f (f (f (f a b) b) b) b) b) b) b) b) b)"
+     " b) b) b)"},
+    {0, true, 1000, 496, 241, false, 30,
+     "(f (f (f (f (f (f (f (f (f (f (f (f a b) b) b) b) b) b) b) b) b)"
+     " b) b) b)"},
+    {0, true, 200000, 496, 241, false, 30,
+     "(f (f (f (f (f (f (f (f (f (f (f (f a b) b) b) b) b) b) b) b) b)"
+     " b) b) b)"},
+    {-1, false, 1, 7, 0, true, 20.25,
+     "(k (g (g (g (g (g (g a)))))) (g (g (g (g (g (g a)))))) (g (g (g "
+     "(g (g (g c)))))))"},
+    {-1, false, 10, 34, 0, true, 20.25,
+     "(k (g (g (g (g (g (g a)))))) (g (g (g (g (g (g a)))))) (g (g (g "
+     "(g (g (g c)))))))"},
+    {-1, false, 1000, 1010, 754, true, 11.25,
+     "(k (k (g (g (k (g (g c)) (g (g c)) a))) (k (g (k (g (g c)) (g (g"
+     " c)) a)) (g (k (g (g c)) (g (g c)) a)) a) c) (k (g (g (k (g (g c"
+     ")) (g (g c)) a))) (k (g (k (g (g c)) (g (g c)) a)) (g (k (g (g c"
+     ")) (g (g c)) a)) a) c) (k (k (g (k (g (g c)) (g (g c)) a)) (g (k"
+     " (g (g c)) (g (g c)) a)) a) (g (g (k (g (g c)) (g (g c)) a))) a)"
+     ")"},
+    {-1, false, 200000, 3152, 2365, false, 11.25,
+     "(k (k (g (g (k (g (g c)) (g (g c)) a))) (k (g (k (g (g c)) (g (g"
+     " c)) a)) (g (k (g (g c)) (g (g c)) a)) a) c) (k (g (g (k (g (g c"
+     ")) (g (g c)) a))) (k (g (k (g (g c)) (g (g c)) a)) (g (k (g (g c"
+     ")) (g (g c)) a)) a) c) (k (k (g (k (g (g c)) (g (g c)) a)) (g (k"
+     " (g (g c)) (g (g c)) a)) a) (g (g (k (g (g c)) (g (g c)) a))) a)"
+     ")"},
+    {-1, true, 1, 7, 0, true, 20.25,
+     "(k (g (g (g (g (g (g a)))))) (g (g (g (g (g (g a)))))) (g (g (g "
+     "(g (g (g c)))))))"},
+    {-1, true, 10, 34, 0, true, 20.25,
+     "(k (g (g (g (g (g (g a)))))) (g (g (g (g (g (g a)))))) (g (g (g "
+     "(g (g (g c)))))))"},
+    {-1, true, 1000, 1010, 754, true, 11.25,
+     "(k (k (g (g (k (g (g c)) (g (g c)) a))) (k (g (k (g (g c)) (g (g"
+     " c)) a)) (g (k (g (g c)) (g (g c)) a)) a) c) (k (g (g (k (g (g c"
+     ")) (g (g c)) a))) (k (g (k (g (g c)) (g (g c)) a)) (g (k (g (g c"
+     ")) (g (g c)) a)) a) c) (k (k (g (k (g (g c)) (g (g c)) a)) (g (k"
+     " (g (g c)) (g (g c)) a)) a) (g (g (k (g (g c)) (g (g c)) a))) a)"
+     ")"},
+    {-1, true, 200000, 3152, 2365, false, 11.25,
+     "(k (k (g (g (k (g (g c)) (g (g c)) a))) (k (g (k (g (g c)) (g (g"
+     " c)) a)) (g (k (g (g c)) (g (g c)) a)) a) c) (k (g (g (k (g (g c"
+     ")) (g (g c)) a))) (k (g (k (g (g c)) (g (g c)) a)) (g (k (g (g c"
+     ")) (g (g c)) a)) a) c) (k (k (g (k (g (g c)) (g (g c)) a)) (g (k"
+     " (g (g c)) (g (g c)) a)) a) (g (g (k (g (g c)) (g (g c)) a))) a)"
+     ")"},
+    {1, false, 1, 1, 1, false, 0.5, "c"},
+    {1, false, 10, 1, 1, false, 0.5, "c"},
+    {1, false, 1000, 1, 1, false, 0.5, "c"},
+    {1, false, 200000, 1, 1, false, 0.5, "c"},
+    {1, true, 1, 1, 1, false, 0.5, "c"},
+    {1, true, 10, 1, 1, false, 0.5, "c"},
+    {1, true, 1000, 1, 1, false, 0.5, "c"},
+    {1, true, 200000, 1, 1, false, 0.5, "c"},
+    {2, false, 1, 1, 1, false, 0.5, "c"},
+    {2, false, 10, 1, 1, false, 0.5, "c"},
+    {2, false, 1000, 1, 1, false, 0.5, "c"},
+    {2, false, 200000, 1, 1, false, 0.5, "c"},
+    {2, true, 1, 1, 1, false, 0.5, "c"},
+    {2, true, 10, 1, 1, false, 0.5, "c"},
+    {2, true, 1000, 1, 1, false, 0.5, "c"},
+    {2, true, 200000, 1, 1, false, 0.5, "c"},
+    {3, false, 1, 1, 1, false, 0.5, "c"},
+    {3, false, 10, 1, 1, false, 0.5, "c"},
+    {3, false, 1000, 1, 1, false, 0.5, "c"},
+    {3, false, 200000, 1, 1, false, 0.5, "c"},
+    {3, true, 1, 1, 1, false, 0.5, "c"},
+    {3, true, 10, 1, 1, false, 0.5, "c"},
+    {3, true, 1000, 1, 1, false, 0.5, "c"},
+    {3, true, 200000, 1, 1, false, 0.5, "c"},
+    {4, false, 1, 1, 1, false, 0.5, "c"},
+    {4, false, 10, 1, 1, false, 0.5, "c"},
+    {4, false, 1000, 1, 1, false, 0.5, "c"},
+    {4, false, 200000, 1, 1, false, 0.5, "c"},
+    {4, true, 1, 1, 1, false, 0.5, "c"},
+    {4, true, 10, 1, 1, false, 0.5, "c"},
+    {4, true, 1000, 1, 1, false, 0.5, "c"},
+    {4, true, 200000, 1, 1, false, 0.5, "c"},
+    {5, false, 1, 1, 1, false, 0.5, "c"},
+    {5, false, 10, 1, 1, false, 0.5, "c"},
+    {5, false, 1000, 1, 1, false, 0.5, "c"},
+    {5, false, 200000, 1, 1, false, 0.5, "c"},
+    {5, true, 1, 1, 1, false, 0.5, "c"},
+    {5, true, 10, 1, 1, false, 0.5, "c"},
+    {5, true, 1000, 1, 1, false, 0.5, "c"},
+    {5, true, 200000, 1, 1, false, 0.5, "c"},
+    {6, false, 1, 1, 1, false, 5.5, "(h c a)"},
+    {6, false, 10, 1, 1, false, 5.5, "(h c a)"},
+    {6, false, 1000, 1, 1, false, 5.5, "(h c a)"},
+    {6, false, 200000, 1, 1, false, 5.5, "(h c a)"},
+    {6, true, 1, 2, 1, false, 5.5, "(h c a)"},
+    {6, true, 10, 2, 1, false, 5.5, "(h c a)"},
+    {6, true, 1000, 2, 1, false, 5.5, "(h c a)"},
+    {6, true, 200000, 2, 1, false, 5.5, "(h c a)"},
+    {7, false, 1, 1, 1, false, 7, "(f (f c c) b)"},
+    {7, false, 10, 1, 1, false, 7, "(f (f c c) b)"},
+    {7, false, 1000, 1, 1, false, 7, "(f (f c c) b)"},
+    {7, false, 200000, 1, 1, false, 7, "(f (f c c) b)"},
+    {7, true, 1, 3, 0, true, 7, "(f (f c c) b)"},
+    {7, true, 10, 4, 1, false, 7, "(f (f c c) b)"},
+    {7, true, 1000, 4, 1, false, 7, "(f (f c c) b)"},
+    {7, true, 200000, 4, 1, false, 7, "(f (f c c) b)"},
+    {8, false, 1, 1, 1, false, 1, "a"},
+    {8, false, 10, 1, 1, false, 1, "a"},
+    {8, false, 1000, 1, 1, false, 1, "a"},
+    {8, false, 200000, 1, 1, false, 1, "a"},
+    {8, true, 1, 1, 1, false, 1, "a"},
+    {8, true, 10, 1, 1, false, 1, "a"},
+    {8, true, 1000, 1, 1, false, 1, "a"},
+    {8, true, 200000, 1, 1, false, 1, "a"},
+    {9, false, 1, 1, 1, false, 3.5, "(f (k c c c) (k c c c))"},
+    {9, false, 10, 1, 1, false, 3.5, "(f (k c c c) (k c c c))"},
+    {9, false, 1000, 1, 1, false, 3.5, "(f (k c c c) (k c c c))"},
+    {9, false, 200000, 1, 1, false, 3.5, "(f (k c c c) (k c c c))"},
+    {9, true, 1, 3, 0, true, 3.5, "(f (k c c c) (k c c c))"},
+    {9, true, 10, 3, 1, false, 3.5, "(f (k c c c) (k c c c))"},
+    {9, true, 1000, 3, 1, false, 3.5, "(f (k c c c) (k c c c))"},
+    {9, true, 200000, 3, 1, false, 3.5, "(f (k c c c) (k c c c))"},
+    {10, false, 1, 1, 1, false, 0.5, "c"},
+    {10, false, 10, 1, 1, false, 0.5, "c"},
+    {10, false, 1000, 1, 1, false, 0.5, "c"},
+    {10, false, 200000, 1, 1, false, 0.5, "c"},
+    {10, true, 1, 1, 1, false, 0.5, "c"},
+    {10, true, 10, 1, 1, false, 0.5, "c"},
+    {10, true, 1000, 1, 1, false, 0.5, "c"},
+    {10, true, 200000, 1, 1, false, 0.5, "c"},
+    {11, false, 1, 6, 1, true, 1, "a"},
+    {11, false, 10, 6, 5, false, 1, "a"},
+    {11, false, 1000, 6, 5, false, 1, "a"},
+    {11, false, 200000, 6, 5, false, 1, "a"},
+    {11, true, 1, 6, 1, true, 1, "a"},
+    {11, true, 10, 6, 5, false, 1, "a"},
+    {11, true, 1000, 6, 5, false, 1, "a"},
+    {11, true, 200000, 6, 5, false, 1, "a"},
+    {12, false, 1, 1, 1, false, 0.5, "c"},
+    {12, false, 10, 1, 1, false, 0.5, "c"},
+    {12, false, 1000, 1, 1, false, 0.5, "c"},
+    {12, false, 200000, 1, 1, false, 0.5, "c"},
+    {12, true, 1, 1, 1, false, 0.5, "c"},
+    {12, true, 10, 1, 1, false, 0.5, "c"},
+    {12, true, 1000, 1, 1, false, 0.5, "c"},
+    {12, true, 200000, 1, 1, false, 0.5, "c"},
+    {13, false, 1, 1, 1, false, 0.5, "c"},
+    {13, false, 10, 1, 1, false, 0.5, "c"},
+    {13, false, 1000, 1, 1, false, 0.5, "c"},
+    {13, false, 200000, 1, 1, false, 0.5, "c"},
+    {13, true, 1, 1, 1, false, 0.5, "c"},
+    {13, true, 10, 1, 1, false, 0.5, "c"},
+    {13, true, 1000, 1, 1, false, 0.5, "c"},
+    {13, true, 200000, 1, 1, false, 0.5, "c"},
+    {14, false, 1, 1, 1, false, 1.25, "(k c c c)"},
+    {14, false, 10, 1, 1, false, 1.25, "(k c c c)"},
+    {14, false, 1000, 1, 1, false, 1.25, "(k c c c)"},
+    {14, false, 200000, 1, 1, false, 1.25, "(k c c c)"},
+    {14, true, 1, 2, 1, false, 1.25, "(k c c c)"},
+    {14, true, 10, 2, 1, false, 1.25, "(k c c c)"},
+    {14, true, 1000, 2, 1, false, 1.25, "(k c c c)"},
+    {14, true, 200000, 2, 1, false, 1.25, "(k c c c)"},
+    {15, false, 1, 1, 1, false, 0.5, "c"},
+    {15, false, 10, 1, 1, false, 0.5, "c"},
+    {15, false, 1000, 1, 1, false, 0.5, "c"},
+    {15, false, 200000, 1, 1, false, 0.5, "c"},
+    {15, true, 1, 1, 1, false, 0.5, "c"},
+    {15, true, 10, 1, 1, false, 0.5, "c"},
+    {15, true, 1000, 1, 1, false, 0.5, "c"},
+    {15, true, 200000, 1, 1, false, 0.5, "c"},
+    {16, false, 1, 1, 1, false, 2, "b"},
+    {16, false, 10, 1, 1, false, 2, "b"},
+    {16, false, 1000, 1, 1, false, 2, "b"},
+    {16, false, 200000, 1, 1, false, 2, "b"},
+    {16, true, 1, 1, 1, false, 2, "b"},
+    {16, true, 10, 1, 1, false, 2, "b"},
+    {16, true, 1000, 1, 1, false, 2, "b"},
+    {16, true, 200000, 1, 1, false, 2, "b"},
+    {17, false, 1, 1, 1, false, 2, "b"},
+    {17, false, 10, 1, 1, false, 2, "b"},
+    {17, false, 1000, 1, 1, false, 2, "b"},
+    {17, false, 200000, 1, 1, false, 2, "b"},
+    {17, true, 1, 1, 1, false, 2, "b"},
+    {17, true, 10, 1, 1, false, 2, "b"},
+    {17, true, 1000, 1, 1, false, 2, "b"},
+    {17, true, 200000, 1, 1, false, 2, "b"},
+    {18, false, 1, 1, 1, false, 0.5, "c"},
+    {18, false, 10, 1, 1, false, 0.5, "c"},
+    {18, false, 1000, 1, 1, false, 0.5, "c"},
+    {18, false, 200000, 1, 1, false, 0.5, "c"},
+    {18, true, 1, 1, 1, false, 0.5, "c"},
+    {18, true, 10, 1, 1, false, 0.5, "c"},
+    {18, true, 1000, 1, 1, false, 0.5, "c"},
+    {18, true, 200000, 1, 1, false, 0.5, "c"},
+    {19, false, 1, 1, 1, false, 0.5, "c"},
+    {19, false, 10, 1, 1, false, 0.5, "c"},
+    {19, false, 1000, 1, 1, false, 0.5, "c"},
+    {19, false, 200000, 1, 1, false, 0.5, "c"},
+    {19, true, 1, 1, 1, false, 0.5, "c"},
+    {19, true, 10, 1, 1, false, 0.5, "c"},
+    {19, true, 1000, 1, 1, false, 0.5, "c"},
+    {19, true, 200000, 1, 1, false, 0.5, "c"},
+    {20, false, 1, 1, 1, false, 1, "a"},
+    {20, false, 10, 1, 1, false, 1, "a"},
+    {20, false, 1000, 1, 1, false, 1, "a"},
+    {20, false, 200000, 1, 1, false, 1, "a"},
+    {20, true, 1, 1, 1, false, 1, "a"},
+    {20, true, 10, 1, 1, false, 1, "a"},
+    {20, true, 1000, 1, 1, false, 1, "a"},
+    {20, true, 200000, 1, 1, false, 1, "a"},
+    {21, false, 1, 1, 1, false, 0.5, "c"},
+    {21, false, 10, 1, 1, false, 0.5, "c"},
+    {21, false, 1000, 1, 1, false, 0.5, "c"},
+    {21, false, 200000, 1, 1, false, 0.5, "c"},
+    {21, true, 1, 1, 1, false, 0.5, "c"},
+    {21, true, 10, 1, 1, false, 0.5, "c"},
+    {21, true, 1000, 1, 1, false, 0.5, "c"},
+    {21, true, 200000, 1, 1, false, 0.5, "c"},
+    {22, false, 1, 1, 1, false, 0.5, "c"},
+    {22, false, 10, 1, 1, false, 0.5, "c"},
+    {22, false, 1000, 1, 1, false, 0.5, "c"},
+    {22, false, 200000, 1, 1, false, 0.5, "c"},
+    {22, true, 1, 1, 1, false, 0.5, "c"},
+    {22, true, 10, 1, 1, false, 0.5, "c"},
+    {22, true, 1000, 1, 1, false, 0.5, "c"},
+    {22, true, 200000, 1, 1, false, 0.5, "c"},
+    {23, false, 1, 1, 1, false, 0.5, "c"},
+    {23, false, 10, 1, 1, false, 0.5, "c"},
+    {23, false, 1000, 1, 1, false, 0.5, "c"},
+    {23, false, 200000, 1, 1, false, 0.5, "c"},
+    {23, true, 1, 1, 1, false, 0.5, "c"},
+    {23, true, 10, 1, 1, false, 0.5, "c"},
+    {23, true, 1000, 1, 1, false, 0.5, "c"},
+    {23, true, 200000, 1, 1, false, 0.5, "c"},
+    {24, false, 1, 1, 1, false, 0.5, "c"},
+    {24, false, 10, 1, 1, false, 0.5, "c"},
+    {24, false, 1000, 1, 1, false, 0.5, "c"},
+    {24, false, 200000, 1, 1, false, 0.5, "c"},
+    {24, true, 1, 1, 1, false, 0.5, "c"},
+    {24, true, 10, 1, 1, false, 0.5, "c"},
+    {24, true, 1000, 1, 1, false, 0.5, "c"},
+    {24, true, 200000, 1, 1, false, 0.5, "c"},
+    {25, false, 1, 1, 1, false, 2.75, "(f c c)"},
+    {25, false, 10, 1, 1, false, 2.75, "(f c c)"},
+    {25, false, 1000, 1, 1, false, 2.75, "(f c c)"},
+    {25, false, 200000, 1, 1, false, 2.75, "(f c c)"},
+    {25, true, 1, 2, 1, false, 2.75, "(f c c)"},
+    {25, true, 10, 2, 1, false, 2.75, "(f c c)"},
+    {25, true, 1000, 2, 1, false, 2.75, "(f c c)"},
+    {25, true, 200000, 2, 1, false, 2.75, "(f c c)"},
+};
+// clang-format on
+
+/** The exact search visits classes, sums bounds and cuts at the budget
+ *  in one fixed order. On the 25 seeded graphs, the chain and the
+ *  lattice, both arms replay the expansion and prune counts, the
+ *  exhaustion flag, the term and its DAG cost that the ordered-set
+ *  search (a std::set frontier) produced, at budgets that cut the
+ *  search early, midway and not at all. */
+TEST(ExtractDifferentialTest, ExactSearchReplaysAtEveryBudget)
+{
+    size_t checked = 0;
+    for (const ExactReplay &want : kExactReplays) {
+        EGraph eg;
+        EClassId root =
+            want.graph == 0    ? chainExactGraph(eg)
+            : want.graph == -1 ? gridExactGraph(eg)
+                               : seededExactGraph(
+                                     eg, static_cast<uint32_t>(want.graph));
+        ExtractStats stats;
+        ExtractOptions options;
+        options.naive = want.naive;
+        options.budget = want.budget;
+        options.stats = &stats;
+        auto got = extractExact(eg, root, kToy, options);
+        std::string what = "graph " + std::to_string(want.graph) +
+                           (want.naive ? " naive" : " incremental") +
+                           " budget " + std::to_string(want.budget);
+        ASSERT_EQ(got.has_value(), want.term != nullptr) << what;
+        EXPECT_EQ(stats.expansions, want.expansions) << what;
+        EXPECT_EQ(stats.bound_prunes, want.bound_prunes) << what;
+        EXPECT_EQ(stats.budget_exhausted, want.budget_exhausted) << what;
+        if (got) {
+            EXPECT_EQ(got->term->str(), want.term) << what;
+            EXPECT_EQ(got->dag_cost, want.dag_cost) << what;
+        }
+        ++checked;
+    }
+    EXPECT_EQ(checked, 27u * 2 * 4);
+}
+
+/** The local-extraction memo against fresh extraction. Random adds,
+ *  merges, rebuilds, nested checkpoints resolved by rollback or commit,
+ *  and loop-registry touches interleave with bursts of memoized
+ *  extractions under three models: registry-backed latency and term
+ *  size, both served by a registered bound analysis, and the toy model
+ *  on from-scratch bounds. Every memoized term prints what a fresh
+ *  extractGreedy builds on the same graph, and asking again before the
+ *  graph changes returns the very same term. */
+TEST(GreedyMemoTest, MemoizedTermsMatchFreshExtraction)
+{
+    const std::pair<const char *, size_t> ops[] = {
+        {"affine.for:i:L0", 2}, {"affine.for:j:L1", 2},
+        {"affine.for:k:L2", 1}, {"seq", 2},
+        {"memref.load", 1},     {"scf.if", 2},
+        {"f", 2},               {"g", 1},
+    };
+    size_t hits = 0;
+    for (uint32_t seed = 1; seed <= 30; ++seed) {
+        std::mt19937 rng(seed);
+        core::LoopRegistry registry;
+        core::LatencyCost latency(registry);
+        EGraph eg;
+        registerCostBound(eg, latency);
+        registerCostBound(eg, kSize);
+        std::vector<EClassId> ids = seedLeaves(eg);
+        const CostModel *models[] = {&latency, &kSize, &kToy};
+        GreedyMemo memo;
+        // Memoized against fresh extraction on a few random roots; a
+        // repeat before the graph changes returns the same term.
+        auto burst = [&](int step) {
+            for (int k = 0; k < 4; ++k) {
+                EClassId root = ids[rng() % ids.size()];
+                for (const CostModel *model : models) {
+                    TermPtr got = memo.extract(eg, root, *model);
+                    auto fresh = extractGreedy(eg, root, *model);
+                    ASSERT_EQ(got != nullptr, fresh.has_value())
+                        << "seed " << seed << " step " << step;
+                    if (!got)
+                        continue;
+                    EXPECT_EQ(got->str(), fresh->term->str())
+                        << "seed " << seed << " step " << step;
+                    EXPECT_EQ(memo.extract(eg, root, *model), got)
+                        << "seed " << seed << " step " << step;
+                }
+            }
+        };
+        /** Open checkpoints with the id count at opening. */
+        std::vector<std::pair<EGraph::Checkpoint, size_t>> open;
+        for (int step = 0; step < 160; ++step) {
+            switch (rng() % 9) {
+            case 0:
+            case 1: {
+                const auto &[op, arity] = ops[rng() % 8];
+                ENode node{Symbol(op), {}};
+                for (size_t c = 0; c < arity; ++c)
+                    node.children.push_back(ids[rng() % ids.size()]);
+                ids.push_back(eg.add(node));
+                break;
+            }
+            case 2:
+                eg.merge(ids[rng() % ids.size()], ids[rng() % ids.size()]);
+                break;
+            case 3:
+                eg.rebuild();
+                break;
+            case 4:
+                // Neither a touch nor a rollback moves the clock: the
+                // memo must see them through the model revision and
+                // the rollback generation.
+                burst(step);
+                registry["L" + std::to_string(rng() % 3)]
+                    .constraints.latency = 1 + rng() % 9;
+                burst(step);
+                break;
+            case 5:
+                if (open.size() < 2)
+                    open.emplace_back(eg.checkpoint(), ids.size());
+                break;
+            case 6:
+                if (open.empty())
+                    break;
+                burst(step);
+                if (rng() % 2) {
+                    eg.rollback(open.back().first);
+                    ids.resize(open.back().second);
+                } else {
+                    eg.commit(open.back().first);
+                }
+                open.pop_back();
+                burst(step);
+                break;
+            default:
+                burst(step);
+            }
+        }
+        hits += memo.hits();
+    }
+    EXPECT_GT(hits, 0u);
 }
 
 /** External model-input updates invalidate only the dependent cones:
