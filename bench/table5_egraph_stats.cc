@@ -26,9 +26,10 @@ using namespace seer::benchx;
 int
 main(int argc, char **argv)
 {
-    // --threads N exercises the parallel e-matching mode (the paper's
-    // future-work item); exploration is identical, only wall-clock
-    // changes. --json PATH dumps the machine-readable stats.
+    // --threads N runs e-matching and external-pass evaluation on N
+    // workers (parallel e-matching is the paper's future-work item);
+    // exploration is identical, only wall-clock changes. --json PATH
+    // dumps the machine-readable stats.
     unsigned threads = 1;
     const char *json_path = nullptr;
     for (int i = 1; i < argc; ++i) {
@@ -55,7 +56,7 @@ main(int argc, char **argv)
     for (const char *name : suite) {
         const bench::Benchmark &benchmark = bench::findBenchmark(name);
         core::SeerOptions options;
-        options.runner.match_jobs = threads;
+        options.jobs = threads;
         core::SeerResult result = seerFlow(benchmark, options);
         const core::SeerStats &stats = result.stats;
         table.addRow({name, fmtInt(stats.egraph_nodes),

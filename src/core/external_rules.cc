@@ -130,15 +130,16 @@ uint64_t
 configFingerprint(const ContextPtr &ctx)
 {
     uint64_t h = hashValue(kPassCacheKeyVersion);
-    h = hashValue(static_cast<uint64_t>(ctx->validate_results), h);
-    h = hashValue(static_cast<uint64_t>(ctx->validation_runs), h);
-    h = hashValue(ctx->validation_seed, h);
+    // The validation gate always runs; the constant stands where an
+    // on/off flag was once hashed, so persisted keys stay valid.
+    h = hashValue(uint64_t{1}, h);
+    h = hashValue(static_cast<uint64_t>(ctx->eval.validation_runs), h);
+    h = hashValue(ctx->eval.validation_seed, h);
     h = hashValue(static_cast<uint64_t>(ctx->unroll_max_trip), h);
+    const double &clock_period = ctx->eval.hls.schedule.clock_period_ns;
     uint64_t clock_bits = 0;
-    static_assert(sizeof clock_bits ==
-                  sizeof ctx->hls.schedule.clock_period_ns);
-    std::memcpy(&clock_bits, &ctx->hls.schedule.clock_period_ns,
-                sizeof clock_bits);
+    static_assert(sizeof clock_bits == sizeof clock_period);
+    std::memcpy(&clock_bits, &clock_period, sizeof clock_bits);
     h = hashValue(clock_bits, h);
     return h;
 }
@@ -157,7 +158,7 @@ passKeyFor(const ContextPtr &ctx, const char *rule, const TermPtr &term)
     uint64_t h = sl::canonicalTermHash(term);
     h = hashCombine(h, hashString(rule));
     h = hashCombine(h, configFingerprint(ctx));
-    const auto &overrides = ctx->hls.schedule.overrides;
+    const auto &overrides = ctx->eval.hls.schedule.overrides;
     if (!overrides.empty()) {
         std::vector<std::string> ids;
         collectLoopIds(term, ids);
@@ -179,16 +180,47 @@ passKeyFor(const ContextPtr &ctx, const char *rule, const TermPtr &term)
     return h;
 }
 
-SnippetEvalConfig
-evalConfig(const ContextPtr &ctx)
+// --- attempt memo and iteration boundary ---------------------------------
+
+/** Has `rule` been attempted on `root` since the class last grew? Does
+ *  not record: the prepare stage must not make the apply-time check
+ *  skip itself. */
+bool
+attemptedPeek(const ExternalRuleContext &ctx, const EGraph &egraph,
+              const char *rule, EClassId root)
 {
-    SnippetEvalConfig config;
-    config.validate_results = ctx->validate_results;
-    config.validation_runs = ctx->validation_runs;
-    config.validation_seed = ctx->validation_seed;
-    config.hls = ctx->hls;
-    config.exec = ctx->exec;
-    return config;
+    EClassId canon = egraph.find(root);
+    auto it = ctx.attempted.find(std::make_pair(std::string(rule), canon));
+    return it != ctx.attempted.end() &&
+           it->second == egraph.eclass(canon).nodes.size();
+}
+
+void
+recordAttempt(ExternalRuleContext &ctx, const EGraph &egraph,
+              const char *rule, EClassId root)
+{
+    EClassId canon = egraph.find(root);
+    ctx.attempted.insert_or_assign(std::make_pair(std::string(rule), canon),
+                                   egraph.eclass(canon).nodes.size());
+}
+
+/**
+ * Iteration-boundary probe, called from every prepare hook (the first
+ * serial code each iteration runs). The e-graph is frozen from match
+ * through apply, so its tick only moves between iterations — a cheap,
+ * rollback-safe signal. On a boundary the scheduler starts a new
+ * iteration and a staging (non-persistent) cache drops its outcomes:
+ * nothing is reused across iterations.
+ */
+void
+syncIteration(ExternalRuleContext &ctx, const EGraph &egraph)
+{
+    if (egraph.tick() == ctx.last_tick)
+        return;
+    ctx.last_tick = egraph.tick();
+    ctx.scheduler->beginIteration();
+    if (!ctx.eval_cache->persistent())
+        ctx.eval_cache->clearOutcomes();
 }
 
 /**
@@ -198,6 +230,9 @@ evalConfig(const ContextPtr &ctx)
  * whether the outcome came from the worker pool, the cache, a disk
  * load, or a cold inline evaluation. `law` selects the paper's
  * approximation law ("fuse") or nullptr for the schedule oracle.
+ * Consults run on the runner thread in canonical union order, so the
+ * scheduler's observe() history replays identically under any
+ * worker-pool width.
  */
 std::optional<TermPtr>
 consultSnippet(const ContextPtr &ctx, const char *rule,
@@ -208,49 +243,31 @@ consultSnippet(const ContextPtr &ctx, const char *rule,
     // Cancellation propagation: once the driver's whole-run budget
     // (deadline, memory, signal) is spent, stop launching snippet/pass
     // work entirely.
-    if (ctx->exec.canceled())
+    if (ctx->eval.exec.canceled())
         return std::nullopt;
 
     uint64_t key = passKeyFor(ctx, rule, term);
-    std::optional<PassOutcome> outcome;
-    bool from_cache = false;
+    ExternalEvalCache &cache = *ctx->eval_cache;
+    std::optional<PassOutcome> outcome = cache.lookupPass(key);
+    bool from_cache = outcome.has_value();
     bool inline_eval = false;
-    if (ctx->eval_cache) {
-        outcome = ctx->eval_cache->lookupPass(key);
-        from_cache = outcome.has_value();
-        if (!outcome) {
-            // The prepare stage missed this candidate (extraction can
-            // drift as earlier applications mutate the e-graph):
-            // evaluate inline. Same key, same name scope — the result
-            // is byte-identical to what the pool would have produced.
-            ctx->eval_cache->countMiss();
-            inline_eval = true;
-            auto t0 = Clock::now();
-            outcome = evaluateSnippet(term, key, transform,
-                                      evalConfig(ctx), *ctx->eval_cache);
-            ctx->mlir_seconds +=
-                std::chrono::duration<double>(Clock::now() - t0).count();
-            if (outcome)
-                ctx->eval_cache->insertPass(key, *outcome);
-        }
-    } else {
-        // Legacy/unit contexts without an attached cache: evaluate
-        // through a throwaway staging cache and charge the context
-        // directly, preserving the pre-layer behavior.
-        ExternalEvalCache scratch(false);
+    if (!outcome) {
+        // The prepare stage missed this candidate (extraction can drift
+        // as earlier applications mutate the e-graph): evaluate inline.
+        // Same key, same name scope — the result is byte-identical to
+        // what the pool would have produced.
+        cache.countMiss();
+        inline_eval = true;
         auto t0 = Clock::now();
-        outcome =
-            evaluateSnippet(term, key, transform, evalConfig(ctx),
-                            scratch);
+        outcome = evaluateSnippet(term, key, transform, ctx->eval, cache);
         ctx->mlir_seconds +=
             std::chrono::duration<double>(Clock::now() - t0).count();
+        if (outcome)
+            cache.insertPass(key, *outcome);
     }
     if (!outcome)
         return std::nullopt; // evaluation canceled: not an outcome
 
-    // Serial-fold feedback: consults happen on the runner thread in
-    // canonical union order, so scheduler history replays identically
-    // under any worker-pool width.
     {
         ProposalCandidate candidate;
         candidate.rule = rule;
@@ -267,7 +284,7 @@ consultSnippet(const ContextPtr &ctx, const char *rule,
                 static_cast<double>(
                     proposalTermSize(outcome->replacement));
         }
-        ctx->pipeline->merge().observe(candidate, fed);
+        ctx->scheduler->observe(candidate, fed);
     }
 
     switch (outcome->status) {
@@ -341,24 +358,21 @@ makeSnippetRule(ContextPtr ctx, SnippetRuleSpec spec)
                     const Match &match) -> std::optional<TermPtr> {
             if (!spec.precheck(egraph, match))
                 return std::nullopt;
-            ProposePhase &propose = ctx->pipeline->propose();
-            MergePhase &merge = ctx->pipeline->merge();
-            if (propose.attemptedPeek(egraph, spec.name, match.root))
+            if (attemptedPeek(*ctx, egraph, spec.name, match.root))
                 return std::nullopt;
             std::vector<TermPtr> terms = spec.extract(egraph, match);
             // Budget gate: a match whose candidate was deferred by the
             // scheduler this iteration is skipped wholesale — no
             // attempt recorded (it stays eligible for later waves) and
             // no inline evaluation (which would defeat the budget).
-            if (ctx->pipeline->scheduler().mayDefer()) {
-                std::vector<uint64_t> keys;
-                keys.reserve(terms.size());
-                for (const TermPtr &term : terms)
-                    keys.push_back(passKeyFor(ctx, spec.name, term));
-                if (!merge.admits(keys))
-                    return std::nullopt;
+            if (ctx->scheduler->mayDefer()) {
+                for (const TermPtr &term : terms) {
+                    if (ctx->scheduler->deferred(
+                            passKeyFor(ctx, spec.name, term)))
+                        return std::nullopt;
+                }
             }
-            propose.recordAttempt(egraph, spec.name, match.root);
+            recordAttempt(*ctx, egraph, spec.name, match.root);
             for (const TermPtr &term : terms) {
                 auto result = consultSnippet(ctx, spec.name, term,
                                              spec.transform, spec.law);
@@ -369,15 +383,9 @@ makeSnippetRule(ContextPtr ctx, SnippetRuleSpec spec)
         });
     rule.prepare = [ctx, spec](const EGraph &egraph,
                                const std::vector<Match> &matches) {
-        const EvalCachePtr &cache = ctx->eval_cache;
-        if (!cache)
-            return;
-        ProposalPipeline &pipeline = *ctx->pipeline;
-        // Iteration boundary (staging flush + scheduler epoch), probed
-        // here because prepare hooks are the first serial code each
-        // iteration runs.
-        pipeline.propose().syncIteration(egraph, cache.get());
-        auto past = [&ctx] { return ctx->exec.canceled(); };
+        ExternalEvalCache &cache = *ctx->eval_cache;
+        syncIteration(*ctx, egraph);
+        auto past = [&ctx] { return ctx->eval.exec.canceled(); };
         if (past())
             return;
         // Propose: this iteration's unique, uncached candidates, in
@@ -387,16 +395,15 @@ makeSnippetRule(ContextPtr ctx, SnippetRuleSpec spec)
         for (const Match &match : matches) {
             if (!spec.precheck(egraph, match))
                 continue;
-            if (pipeline.propose().attemptedPeek(egraph, spec.name,
-                                                 match.root))
+            if (attemptedPeek(*ctx, egraph, spec.name, match.root))
                 continue;
             for (const TermPtr &term : spec.extract(egraph, match)) {
                 uint64_t key = passKeyFor(ctx, spec.name, term);
                 if (!seen.insert(key).second) {
-                    cache->countDeduped(1);
+                    cache.countDeduped(1);
                     continue;
                 }
-                if (!cache->probePass(key)) {
+                if (!cache.probePass(key)) {
                     ProposalCandidate candidate;
                     candidate.rule = spec.name;
                     candidate.key = key;
@@ -410,10 +417,21 @@ makeSnippetRule(ContextPtr ctx, SnippetRuleSpec spec)
             return;
         // Schedule, then evaluate the ordered batch on the pool.
         std::vector<ProposalCandidate> batch =
-            pipeline.scheduler().schedule(std::move(wave));
-        pipeline.evaluate().run(batch, spec.transform, evalConfig(ctx),
-                                *cache, ctx->jobs, past,
-                                &ctx->mlir_seconds);
+            ctx->scheduler->schedule(std::move(wave));
+        if (batch.empty())
+            return;
+        cache.countBatch(batch.size());
+        std::vector<EvalBatchItem> items;
+        items.reserve(batch.size());
+        for (const ProposalCandidate &candidate : batch)
+            items.push_back({candidate.key, candidate.term});
+        // "Time in MLIR" is wall-clock: the batch blocks the main loop,
+        // so the elapsed span (not summed thread-seconds) is charged.
+        auto t0 = Clock::now();
+        evaluateBatch(items, spec.transform, ctx->eval, cache, ctx->jobs,
+                      past);
+        ctx->mlir_seconds +=
+            std::chrono::duration<double>(Clock::now() - t0).count();
     };
     return rule;
 }
@@ -438,6 +456,13 @@ firstIf(ir::Operation &func)
 }
 
 } // namespace
+
+void
+ExternalRuleContext::beginPhase()
+{
+    attempted.clear();
+    scheduler->beginPhase();
+}
 
 std::vector<Rewrite>
 seqRules()

@@ -23,7 +23,6 @@
 #include "core/pass_eval.h"
 #include "core/scheduler.h"
 #include "egraph/rewrite.h"
-#include "hls/hls.h"
 #include "rover/rover.h"
 
 namespace seer::core {
@@ -41,8 +40,6 @@ struct ExternalRuleContext
     /** Enable the loop-unroll rule for trip counts up to this bound
      *  (0 disables it — the paper's default). */
     int64_t unroll_max_trip = 0;
-    /** Scheduling options for oracle re-runs. */
-    hls::HlsOptions hls;
     /** Use the analysis-friendly cost for local extraction (Section
      *  4.5); false extracts smallest terms instead (ablation: the
      *  Figure 9 fusion then never finds the affine form). */
@@ -55,55 +52,67 @@ struct ExternalRuleContext
     /** Greedy memo of local extraction over the one e-graph these
      *  rules rewrite. optimize() drops it when exploration ends. */
     eg::GreedyMemo local_extraction;
-    /**
-     * The propose/evaluate seam: phase objects (attempt memo,
-     * worker-pool fan-out, serial-fold feedback) plus the proposal
-     * scheduler plugged between them. The driver builds it from
-     * SeerOptions (--schedule/--eval-budget); the default keeps
-     * legacy/unit contexts on the exhaustive pre-seam behavior. Never
-     * null.
-     */
-    PipelinePtr pipeline =
-        makePipeline(ScheduleKind::Exhaustive, BanditConfig{});
 
     /**
-     * Fault isolation: gate every external-pass result through the
-     * structural verifier and a before/after co-simulation on
-     * deterministic pseudo-random inputs before it is unioned. A
-     * semantics-breaking pass is contained — rejected and recorded —
-     * instead of poisoning the e-graph (a union is irreversible within
-     * a phase).
+     * Inputs of every snippet evaluation, filled once by the driver and
+     * read in place by every consult and batch: the validation gate's
+     * co-simulation budget, the HLS options of the schedule oracle, and
+     * the whole-run governance context. Once `eval.exec` is canceled
+     * (deadline, memory budget, signal), rules stop launching new
+     * snippet/pass work and report "does not apply"; running
+     * evaluations stop cooperatively and are never cached.
+     *
+     * Fault isolation: every pass result passes the structural verifier
+     * and a before/after co-simulation on deterministic pseudo-random
+     * inputs before it is unioned. A semantics-breaking pass is
+     * contained — rejected and recorded — instead of poisoning the
+     * e-graph (a union is irreversible within a phase).
      */
-    bool validate_results = true;
-    /** Co-simulation budget for the validation gate. */
-    int validation_runs = 2;
-    uint64_t validation_seed = 0x5EEE;
+    SnippetEvalConfig eval;
     /** Pass results rejected by the validation gate. */
     size_t rejected_results = 0;
     /** Diagnostics for the first few rejections (health reporting). */
     std::vector<std::string> rejections;
 
-    /** Whole-run governance context (deadline, memory budget, signal):
-     *  once canceled, external rules stop launching new snippet/pass
-     *  work and report "does not apply". Propagated into running
-     *  evaluations as a cooperative cancel: long co-simulations stop
-     *  shortly after cancellation instead of draining their full step
-     *  budget, and a canceled evaluation is never cached. */
-    ExecContext exec;
+    /**
+     * The proposal scheduler plugged between candidate collection and
+     * batch evaluation (core/scheduler.h). The driver installs the one
+     * SeerOptions::schedule selects; the default is exhaustive. Never
+     * null.
+     */
+    std::unique_ptr<ProposalScheduler> scheduler =
+        makeExhaustiveScheduler();
+    /**
+     * Attempt memo: (rule, canonical class) -> class node count at
+     * attempt time, so re-matching the same class across runner
+     * iterations does not re-run the snippet/pass machinery. A class
+     * that absorbed new representatives since the last attempt is
+     * retried; stale (merged-away) ids cannot alias a surviving class
+     * (ids are not reused). Reset by beginPhase().
+     */
+    std::map<std::pair<std::string, uint32_t>, size_t> attempted;
+    /** E-graph tick at the last prepare hook: a change marks a runner
+     *  iteration boundary. */
+    uint64_t last_tick = ~uint64_t{0};
 
     /**
-     * The memoized-evaluation layer. When set, every rule gains a
-     * prepare hook that batches the iteration's candidate snippets,
-     * dedupes them structurally, and evaluates cold ones on `jobs`
-     * worker threads; the serial apply phase then only consults
-     * recorded outcomes. Unset (legacy/unit contexts): rules evaluate
-     * inline through a throwaway staging cache, exactly as before this
-     * layer existed.
+     * The memoized-evaluation layer. Every rule's prepare hook batches
+     * the iteration's candidate snippets, dedupes them structurally,
+     * and evaluates cold ones on `jobs` worker threads; the serial
+     * apply phase then consults the recorded outcomes. The default is
+     * an iteration-scoped staging cache (nothing is reused across
+     * iterations); the driver attaches a persistent one.
      */
-    EvalCachePtr eval_cache;
+    EvalCachePtr eval_cache =
+        std::make_shared<ExternalEvalCache>(/*persistent=*/false);
     /** Worker threads for the prepare stage (1 = evaluate inline on
      *  the runner thread; results are identical either way). */
     unsigned jobs = 1;
+
+    /** Driver phase boundary: the attempt memo resets (rover rounds
+     *  change class contents, so every rule retries freshly) and the
+     *  scheduler observes the boundary. */
+    void beginPhase();
 };
 
 using ContextPtr = std::shared_ptr<ExternalRuleContext>;

@@ -139,7 +139,7 @@ evaluateImpl(const TermPtr &term,
     // co-simulate on deterministic pseudo-random inputs. Equivalence
     // verdicts are memoized: structurally identical (before, after)
     // pairs under the same simulation budget share one co-simulation.
-    if (config.validate_results && !expired()) {
+    if (!expired()) {
         std::string diag = ir::verify(snippet);
         if (!diag.empty()) {
             out.status = PassOutcome::Status::Rejected;

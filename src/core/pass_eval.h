@@ -221,7 +221,8 @@ using EvalCachePtr = std::shared_ptr<ExternalEvalCache>;
 /** The pure-stage inputs of one snippet evaluation. */
 struct SnippetEvalConfig
 {
-    bool validate_results = true;
+    /** Co-simulation budget of the validation gate, which every pass
+     *  result passes before it may be unioned. */
     int validation_runs = 2;
     uint64_t validation_seed = 0x5EEE;
     /** Scheduling options for the oracle stage. */

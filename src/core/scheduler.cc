@@ -1,8 +1,8 @@
 #include "core/scheduler.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
+#include <map>
 #include <unordered_set>
 
 #include "support/rng.h"
@@ -377,107 +377,6 @@ std::unique_ptr<ProposalScheduler>
 makeBanditScheduler(const BanditConfig &config)
 {
     return std::make_unique<BanditScheduler>(config);
-}
-
-// --- ProposePhase ---------------------------------------------------------
-
-void
-ProposePhase::beginPhase()
-{
-    attempted_.clear();
-    scheduler_->beginPhase();
-}
-
-void
-ProposePhase::syncIteration(const eg::EGraph &egraph,
-                            ExternalEvalCache *cache)
-{
-    if (egraph.tick() == last_tick_)
-        return;
-    last_tick_ = egraph.tick();
-    scheduler_->beginIteration();
-    // Ephemeral staging (cache-off mode) drops outcomes at each
-    // iteration boundary: nothing is ever reused across iterations.
-    if (cache && !cache->persistent())
-        cache->clearOutcomes();
-}
-
-bool
-ProposePhase::attemptedPeek(const eg::EGraph &egraph, const char *rule,
-                            eg::EClassId root) const
-{
-    eg::EClassId canon = egraph.find(root);
-    auto it = attempted_.find(std::make_pair(std::string(rule), canon));
-    return it != attempted_.end() &&
-           it->second == egraph.eclass(canon).nodes.size();
-}
-
-void
-ProposePhase::recordAttempt(const eg::EGraph &egraph, const char *rule,
-                            eg::EClassId root)
-{
-    eg::EClassId canon = egraph.find(root);
-    attempted_.insert_or_assign(
-        std::make_pair(std::string(rule), canon),
-        egraph.eclass(canon).nodes.size());
-}
-
-// --- EvaluatePhase --------------------------------------------------------
-
-void
-EvaluatePhase::run(const std::vector<ProposalCandidate> &batch,
-                   const std::function<bool(ir::Operation &)> &transform,
-                   const SnippetEvalConfig &config,
-                   ExternalEvalCache &cache, unsigned jobs,
-                   const std::function<bool()> &cancelled,
-                   double *wall_seconds)
-{
-    if (batch.empty())
-        return;
-    cache.countBatch(batch.size());
-    std::vector<EvalBatchItem> items;
-    items.reserve(batch.size());
-    for (const ProposalCandidate &candidate : batch)
-        items.push_back({candidate.key, candidate.term});
-    // "Time in MLIR" is wall-clock: the batch blocks the main loop, so
-    // the elapsed span (not summed thread-seconds) is charged.
-    auto t0 = std::chrono::steady_clock::now();
-    evaluateBatch(items, transform, config, cache, jobs, cancelled);
-    *wall_seconds += std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
-}
-
-// --- MergePhase -----------------------------------------------------------
-
-bool
-MergePhase::admits(const std::vector<uint64_t> &keys) const
-{
-    if (!scheduler_->mayDefer())
-        return true;
-    for (uint64_t key : keys) {
-        if (scheduler_->deferred(key))
-            return false;
-    }
-    return true;
-}
-
-void
-MergePhase::observe(const ProposalCandidate &candidate,
-                    const ProposalOutcome &outcome)
-{
-    scheduler_->observe(candidate, outcome);
-}
-
-// --- pipeline -------------------------------------------------------------
-
-PipelinePtr
-makePipeline(ScheduleKind kind, const BanditConfig &config)
-{
-    std::unique_ptr<ProposalScheduler> scheduler =
-        kind == ScheduleKind::Bandit ? makeBanditScheduler(config)
-                                     : makeExhaustiveScheduler();
-    return std::make_shared<ProposalPipeline>(std::move(scheduler));
 }
 
 } // namespace seer::core

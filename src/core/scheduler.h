@@ -1,30 +1,15 @@
 /**
  * @file
- * The propose/evaluate seam of the optimization driver: phase objects
- * and the pluggable, budget-aware proposal scheduler.
+ * The propose/evaluate seam of the optimization driver: the pluggable,
+ * budget-aware proposal scheduler.
  *
  * Every external rule generates (pass, site) proposals each runner
- * iteration. Pre-refactor, proposal generation, evaluation and merging
- * were fused inside the prepare hook and the serial apply fold; this
- * layer splits them into three explicit phase objects —
- *
- *  - ProposePhase: candidate enumeration bookkeeping. Owns the attempt
- *    memo (formerly ExternalRuleContext::attempted, reset per phase by
- *    the driver via implicit convention) and the iteration-boundary
- *    signal (staging flush + scheduler epoch), so the contract is
- *    enforced in one place.
- *  - EvaluatePhase: runs the scheduled batch on the worker pool. Pure
- *    fan-out into the thread-safe evaluation cache; no ordering
- *    decisions of its own.
- *  - MergePhase: the serial apply fold's view of the seam. Gates
- *    consult-time inline evaluation (a budgeted-out candidate must not
- *    be evaluated through the back door) and feeds outcome observations
- *    to the scheduler.
- *
- * — coordinated through a ProposalScheduler plugged between propose and
- * evaluate: `schedule(wave)` orders and truncates one iteration's
- * candidate wave, `observe(candidate, outcome)` feeds evaluation
- * results back.
+ * iteration. Its prepare hook collects the iteration's cold candidates
+ * (one "wave"), hands them to the ProposalScheduler, and evaluates the
+ * batch it returns on the worker pool; the rule's serial applier then
+ * consults the recorded outcomes and reports each one back
+ * (core/external_rules.cc). `schedule(wave)` orders and truncates one
+ * wave, `observe(candidate, outcome)` feeds evaluation results back.
  *
  * Determinism contract: schedule() runs on the runner thread (prepare
  * hooks are serial) and observe() runs only in the serial apply fold,
@@ -38,7 +23,6 @@
 #ifndef SEER_CORE_SCHEDULER_H_
 #define SEER_CORE_SCHEDULER_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -196,135 +180,6 @@ makeBanditScheduler(const BanditConfig &config);
 
 /** Node count of a term — the deterministic eval-cost proxy. */
 size_t proposalTermSize(const eg::TermPtr &term);
-
-/**
- * Candidate-enumeration bookkeeping, owned here so every call site
- * shares one enforced contract (the memo was previously cleared per
- * phase by the driver by convention).
- */
-class ProposePhase
-{
-  public:
-    explicit ProposePhase(ProposalScheduler *scheduler)
-        : scheduler_(scheduler)
-    {
-    }
-
-    /** Driver phase boundary: the attempt memo resets here — rover
-     *  rounds change class contents, so every rule retries freshly —
-     *  and the scheduler observes the boundary. */
-    void beginPhase();
-
-    /**
-     * Iteration-boundary probe, called from every prepare hook. The
-     * e-graph is frozen from match through apply, so its tick only
-     * moves between iterations — a cheap, rollback-safe boundary
-     * signal. On a boundary: the scheduler's deferred set resets, and
-     * ephemeral staging (cache-off mode) drops its outcomes.
-     */
-    void syncIteration(const eg::EGraph &egraph,
-                       ExternalEvalCache *cache);
-
-    /**
-     * Attempt memo: (rule, canonical class) -> class node count at
-     * attempt time, so re-matching the same class across runner
-     * iterations does not re-run the snippet/pass machinery. Keys are
-     * re-canonicalized and the node count re-checked at lookup time: a
-     * class that absorbed new representatives since the last attempt
-     * is retried, and stale (merged-away) ids can never alias a
-     * surviving class (ids are not reused).
-     *
-     * peek answers without recording (the prepare stage must not make
-     * the apply-time check skip itself); record marks the attempt.
-     */
-    bool attemptedPeek(const eg::EGraph &egraph, const char *rule,
-                       eg::EClassId root) const;
-    void recordAttempt(const eg::EGraph &egraph, const char *rule,
-                       eg::EClassId root);
-
-  private:
-    ProposalScheduler *scheduler_;
-    std::map<std::pair<std::string, uint32_t>, size_t> attempted_;
-    uint64_t last_tick_ = ~uint64_t{0};
-};
-
-/** The worker-pool fan-out over one scheduled batch. */
-class EvaluatePhase
-{
-  public:
-    /**
-     * Evaluate `batch` on `jobs` workers; outcomes land in `cache`.
-     * Blocks the runner thread, so the elapsed span (wall clock, not
-     * summed thread-seconds) is charged to *wall_seconds — the
-     * paper's "Time in MLIR" figure.
-     */
-    void run(const std::vector<ProposalCandidate> &batch,
-             const std::function<bool(ir::Operation &)> &transform,
-             const SnippetEvalConfig &config, ExternalEvalCache &cache,
-             unsigned jobs, const std::function<bool()> &cancelled,
-             double *wall_seconds);
-};
-
-/** The serial apply fold's view of the seam. */
-class MergePhase
-{
-  public:
-    explicit MergePhase(ProposalScheduler *scheduler)
-        : scheduler_(scheduler)
-    {
-    }
-
-    /** False when any of `keys` was budgeted out this iteration: the
-     *  match must be skipped *without* recording an attempt (the
-     *  candidate stays eligible) and without an inline evaluation
-     *  (which would defeat the budget). */
-    bool admits(const std::vector<uint64_t> &keys) const;
-
-    /** Serial-fold feedback. Runs only here — on the runner thread, in
-     *  canonical union order — so scheduler history is identical under
-     *  any worker-pool width. */
-    void observe(const ProposalCandidate &candidate,
-                 const ProposalOutcome &outcome);
-
-  private:
-    ProposalScheduler *scheduler_;
-};
-
-/**
- * The three seam phases plus their scheduler, wired together. Owned by
- * the driver (or default-constructed by ExternalRuleContext for
- * legacy/unit contexts, which keeps the exhaustive pre-seam behavior).
- */
-class ProposalPipeline
-{
-  public:
-    explicit ProposalPipeline(std::unique_ptr<ProposalScheduler> s)
-        : scheduler_(std::move(s)), propose_(scheduler_.get()),
-          merge_(scheduler_.get())
-    {
-    }
-
-    /** Driver phase boundary (forwards to ProposePhase, the owner of
-     *  the reset contract). */
-    void beginPhase() { propose_.beginPhase(); }
-
-    ProposePhase &propose() { return propose_; }
-    EvaluatePhase &evaluate() { return evaluate_; }
-    MergePhase &merge() { return merge_; }
-    ProposalScheduler &scheduler() { return *scheduler_; }
-    const ProposalScheduler &scheduler() const { return *scheduler_; }
-
-  private:
-    std::unique_ptr<ProposalScheduler> scheduler_;
-    ProposePhase propose_;
-    EvaluatePhase evaluate_;
-    MergePhase merge_;
-};
-
-using PipelinePtr = std::shared_ptr<ProposalPipeline>;
-
-/** Build the pipeline optimize() plugs into its rule context. */
-PipelinePtr makePipeline(ScheduleKind kind, const BanditConfig &config);
 
 } // namespace seer::core
 

@@ -25,6 +25,8 @@ using eg::TermPtr;
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
 /** Convert value-yielding ifs so SeerLang can express the program. */
 void
 preNormalize(ir::Operation &func)
@@ -284,11 +286,11 @@ class SaturatePhase
 };
 
 /**
- * ExtractPhase: two-phase extraction (Section 4.6) as a composable
- * pipeline — phase 1 pins the control skeleton under the latency cost
- * (Eqn 3), phase 2 re-extracts every pure sub-expression of that
- * skeleton under the ROVER area cost (Eqn 4) — degrading to the
- * original term when the pipeline crashes or finds nothing.
+ * ExtractPhase: two-phase extraction (Section 4.6). Phase 1 pins the
+ * control skeleton under the latency cost (Eqn 3); phase 2 keeps that
+ * skeleton and re-extracts every pure sub-expression under the ROVER
+ * area cost (Eqn 4). Degrades to the original term when extraction
+ * crashes or finds nothing.
  */
 class ExtractPhase
 {
@@ -302,50 +304,33 @@ class ExtractPhase
     /** Returns the term to emit (extracted, or the original on
      *  degrade). Throws only in strict mode. */
     TermPtr
-    run(EGraph &egraph, EClassId root, LatencyCost &latency,
-        rover::RoverAreaCost &area_cost, const TermPtr &original)
+    run(const EGraph &egraph, EClassId root, const LatencyCost &latency,
+        const rover::RoverAreaCost &area_cost, const TermPtr &original)
     {
-        ExtractorKind control_kind = options_.naive_extract
-                                         ? ExtractorKind::Naive
-                                         : ExtractorKind::Greedy;
-        ExtractorKind datapath_kind =
-            options_.naive_extract
-                ? ExtractorKind::Naive
-                : (options_.exact_datapath ? ExtractorKind::Exact
-                                           : ExtractorKind::Greedy);
-        ExtractionPipeline pipeline;
-        pipeline.addPhase({"control-latency", &latency, control_kind,
-                           /*refine=*/false, /*budget=*/200000, exec_});
-        pipeline.addPhase({"datapath-area", &area_cost, datapath_kind,
-                           /*refine=*/true,
-                           /*budget=*/200000, exec_});
-        // Extraction under governance: a canceled context stops the
-        // pipeline between phases and bounds the exact search from
-        // inside (best-so-far, never optimal-or-nothing). A crash or
-        // allocation failure degrades to emitting the original
-        // program.
-        ExtractionReport extraction;
+        // Extraction under governance: a canceled context skips the
+        // area phase and bounds the exact search from inside
+        // (best-so-far, never optimal-or-nothing). A crash or
+        // allocation failure degrades to emitting the original program.
+        TermPtr term;
         try {
-            extraction = pipeline.run(
-                egraph, root, [this] { return exec_.canceled(); });
+            term = extract(egraph, root, latency, area_cost);
         } catch (const FatalError &err) {
             if (options_.strict)
                 throw;
-            extraction.infeasible = true;
+            result_.stats.extraction.clear();
             recordRecovered(result_.stats,
                             std::string("extraction failed: ") +
                                 err.what());
         } catch (const std::bad_alloc &) {
             if (options_.strict)
                 throw;
-            extraction.infeasible = true;
+            result_.stats.extraction.clear();
             recordRecovered(result_.stats,
                             "extraction failed: allocation failure "
                             "(contained)");
         }
-        result_.stats.extraction = extraction.phases;
-        if (!extraction.infeasible)
-            return extraction.term;
+        if (term)
+            return term;
         if (options_.strict)
             fatal("seer: extraction found no implementation");
         recordRecovered(result_.stats,
@@ -355,6 +340,119 @@ class ExtractPhase
     }
 
   private:
+    /** Both phases, reporting into stats.extraction. Null when the
+     *  latency phase finds no finite-cost implementation. */
+    TermPtr
+    extract(const EGraph &egraph, EClassId root, const LatencyCost &latency,
+            const rover::RoverAreaCost &area_cost)
+    {
+        std::vector<ExtractionPhaseStats> &phases = result_.stats.extraction;
+        phases.assign(2, ExtractionPhaseStats{});
+        ExtractionPhaseStats &control = phases[0];
+        ExtractionPhaseStats &datapath = phases[1];
+        control.name = "control-latency";
+        control.extractor = options_.naive_extract ? "naive" : "greedy";
+        datapath.name = "datapath-area";
+        datapath.extractor = options_.naive_extract     ? "naive"
+                             : options_.exact_datapath ? "exact"
+                                                       : "greedy";
+
+        auto t0 = Clock::now();
+        eg::ExtractStats stats;
+        control.ran = true;
+        control.extractions = 1;
+        auto extraction = eg::extractGreedy(egraph, root, latency,
+                                            extractOptions(stats));
+        control.budget_exhaustions = stats.budget_exhausted ? 1 : 0;
+        foldStats(control, stats, t0);
+        if (!extraction)
+            return nullptr;
+        control.tree_cost = extraction->tree_cost;
+        control.dag_cost = extraction->dag_cost;
+        if (exec_.canceled())
+            return extraction->term; // the area phase stays ran = false
+
+        t0 = Clock::now();
+        stats = eg::ExtractStats{};
+        datapath.ran = true;
+        TermPtr term =
+            refine(egraph, extraction->term, area_cost, stats, datapath);
+        foldStats(datapath, stats, t0);
+        return term;
+    }
+
+    eg::ExtractOptions
+    extractOptions(eg::ExtractStats &stats) const
+    {
+        eg::ExtractOptions options;
+        options.naive = options_.naive_extract;
+        options.stats = &stats;
+        options.exec = exec_;
+        return options;
+    }
+
+    /**
+     * Area refinement walk: keep the statement skeleton of `term`
+     * pinned and re-extract every maximal pure sub-expression under the
+     * area cost. Sub-expressions unknown to the e-graph (or infeasible)
+     * are kept as-is — refinement can only improve the term.
+     */
+    TermPtr
+    refine(const EGraph &egraph, const TermPtr &term,
+           const rover::RoverAreaCost &area_cost, eg::ExtractStats &stats,
+           ExtractionPhaseStats &phase)
+    {
+        if (sl::isStatementSymbol(term->op())) {
+            std::vector<TermPtr> children;
+            children.reserve(term->arity());
+            bool changed = false;
+            for (const auto &child : term->children()) {
+                TermPtr refined =
+                    refine(egraph, child, area_cost, stats, phase);
+                changed |= refined != child;
+                children.push_back(std::move(refined));
+            }
+            return changed ? eg::makeTerm(term->op(), std::move(children))
+                           : term;
+        }
+        auto id = egraph.lookupTerm(term);
+        if (!id)
+            return term;
+        ++phase.extractions;
+        eg::ExtractStats one;
+        bool exact = !options_.naive_extract && options_.exact_datapath;
+        auto extraction =
+            exact ? eg::extractExact(egraph, *id, area_cost,
+                                     extractOptions(one))
+                  : eg::extractGreedy(egraph, *id, area_cost,
+                                      extractOptions(one));
+        stats.classes_visited += one.classes_visited;
+        stats.classes_recomputed += one.classes_recomputed;
+        stats.bound_prunes += one.bound_prunes;
+        stats.expansions += one.expansions;
+        stats.used_analysis = stats.used_analysis || one.used_analysis;
+        if (one.budget_exhausted)
+            ++phase.budget_exhaustions;
+        if (!extraction)
+            return term;
+        phase.tree_cost += extraction->tree_cost;
+        phase.dag_cost += extraction->dag_cost;
+        return extraction->term;
+    }
+
+    static void
+    foldStats(ExtractionPhaseStats &phase, const eg::ExtractStats &stats,
+              Clock::time_point t0)
+    {
+        phase.classes_visited = stats.classes_visited;
+        phase.classes_recomputed = stats.classes_recomputed;
+        phase.bound_prunes = stats.bound_prunes;
+        phase.expansions = stats.expansions;
+        phase.used_analysis = stats.used_analysis;
+        phase.seconds =
+            std::chrono::duration<double>(Clock::now() - t0).count();
+    }
+
     const SeerOptions &options_;
     const ExecContext &exec_;
     SeerResult &result_;
@@ -363,11 +461,11 @@ class ExtractPhase
 /**
  * OptimizeDriver: the slim coordinator of the optimization phases.
  * Setup (pre-normalize, translate, seed) runs once; exploration
- * interleaves SaturatePhase invocations whose external rules feed the
- * Propose/Evaluate/Merge seam (core/scheduler.h) through the proposal
- * scheduler selected by SeerOptions::schedule; ExtractPhase and the
- * emission ladder produce the result. Each stage degrades per the
- * robustness contract instead of throwing (non-strict mode).
+ * interleaves SaturatePhase invocations whose external rules consult
+ * the proposal scheduler selected by SeerOptions::schedule
+ * (core/scheduler.h); ExtractPhase and the emission ladder produce the
+ * result. Each stage degrades per the robustness contract instead of
+ * throwing (non-strict mode).
  */
 class OptimizeDriver
 {
@@ -395,8 +493,6 @@ class OptimizeDriver
     }
 
   private:
-    using Clock = std::chrono::steady_clock;
-
     void
     setupGovernance()
     {
@@ -455,18 +551,18 @@ class OptimizeDriver
         context_->analysis_friendly =
             options_.analysis_friendly_extraction;
         context_->unroll_max_trip = options_.unroll_max_trip;
-        context_->hls = options_.hls;
-        context_->validate_results = options_.validate_external;
-        context_->validation_runs = options_.validation_runs;
-        context_->validation_seed = options_.validation_seed;
-        context_->exec = exec_;
+        context_->eval.validation_runs = options_.validation_runs;
+        context_->eval.validation_seed = options_.validation_seed;
+        context_->eval.hls = options_.hls;
+        context_->eval.exec = exec_;
         // The propose/evaluate seam: the scheduler selected by
-        // --schedule, wired into the phase objects every external rule
-        // shares.
-        BanditConfig bandit;
-        bandit.seed = options_.schedule_seed;
-        bandit.eval_budget = options_.eval_budget;
-        context_->pipeline = makePipeline(options_.schedule, bandit);
+        // --schedule, shared by every external rule.
+        if (options_.schedule == ScheduleKind::Bandit) {
+            BanditConfig bandit;
+            bandit.seed = options_.schedule_seed;
+            bandit.eval_budget = options_.eval_budget;
+            context_->scheduler = makeBanditScheduler(bandit);
+        }
         // Memoized + parallel external-pass evaluation. A shared cache
         // (a sweep over one kernel) wins over per-run construction;
         // otherwise the cache is persistent (memoizing) or an
@@ -569,15 +665,11 @@ class OptimizeDriver
 
         runner_options_ = options_.runner;
         runner_options_.catch_rule_errors = !options_.strict;
-        runner_options_.quarantine_after = options_.quarantine_after;
         runner_options_.exec = exec_;
         // One -j knob drives both parallel stages: e-matching and the
         // external-pass worker pool (both deterministic by
-        // construction). --match-jobs decouples the search phase when
-        // set.
-        runner_options_.match_jobs = options_.match_jobs
-                                         ? options_.match_jobs
-                                         : context_->jobs;
+        // construction).
+        runner_options_.match_jobs = context_->jobs;
         return true;
     }
 
@@ -591,10 +683,10 @@ class OptimizeDriver
             if (exec_.canceled())
                 break; // reported by noteCancellation in finish()
             size_t applied_this_phase = 0;
-            // Phase boundary: the attempt memo resets inside
-            // ProposePhase (rover rounds change class contents, so
-            // external rules retry freshly each phase).
-            context_->pipeline->beginPhase();
+            // Phase boundary: the attempt memo resets (rover rounds
+            // change class contents, so external rules retry freshly
+            // each phase).
+            context_->beginPhase();
             if (options_.use_control) {
                 saturate.run(
                     "control",
@@ -700,8 +792,7 @@ class OptimizeDriver
         result_.stats.time_in_passes_seconds = context_->mlir_seconds;
         result_.stats.external_eval =
             evalStatsDelta(eval_cache_->stats(), eval_stats_base_);
-        result_.stats.scheduler =
-            context_->pipeline->scheduler().stats();
+        result_.stats.scheduler = context_->scheduler->stats();
         // A warm run that loaded the file and memoized nothing new
         // would rewrite identical bytes: skip it. Persistent entries
         // are never dropped, so an unchanged count means no insert.

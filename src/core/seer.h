@@ -15,7 +15,6 @@
 #define SEER_CORE_SEER_H_
 
 #include "core/external_rules.h"
-#include "core/extraction_pipeline.h"
 #include "egraph/runner.h"
 
 namespace seer::core {
@@ -29,7 +28,12 @@ struct SeerOptions
     bool use_control = true;
     /** Interleaved control/data phases (Section 4.4). */
     int max_phases = 3;
-    /** Runner limits per phase. */
+    /**
+     * Runner limits per phase. optimize() derives three of its fields
+     * and overwrites whatever the caller set there: `match_jobs` (from
+     * `jobs`), `catch_rule_errors` (from `strict`) and `exec` (the
+     * run's governance context).
+     */
     eg::RunnerOptions runner;
     /** Exact (branch-and-bound "ILP") datapath extraction; greedy
      *  fallback when disabled (ablation). */
@@ -80,40 +84,29 @@ struct SeerOptions
      * and mem_budget_bytes are still applied to it when set.
      */
     ExecContext exec;
-    /** Gate every external-pass result through the verifier + a
-     *  before/after co-simulation before unioning it. */
-    bool validate_external = true;
-    /** Co-simulation runs per validation (more runs = a stronger gate
+    /** Co-simulation runs of the validation gate that every
+     *  external-pass result must pass (the verifier + a before/after
+     *  co-simulation) before it is unioned. More runs = a stronger gate
      *  and more interpreter time; the verification cache is keyed on
-     *  this, so changing it never reuses stale verdicts). */
+     *  this, so changing it never reuses stale verdicts. */
     int validation_runs = 2;
     /** Seed of the validation input generator (cache-keyed). */
     uint64_t validation_seed = 0x5EEE;
-    /** Consecutive recovered failures before a rule is quarantined for
-     *  the rest of a phase (the runner's circuit breaker). */
-    size_t quarantine_after = 3;
     /** Test/chaos hook: extra rules appended to every control phase
      *  (used to inject faulty rules in robustness tests). */
     std::vector<eg::Rewrite> extra_control_rules;
 
     // --- memoized + parallel external-pass evaluation --------------------
     /**
-     * Worker threads for external-pass evaluation (and the runner's
-     * match phase). Snippet evaluation is a pure function under a
-     * content-seeded name scope and unions stay strictly serial in
-     * canonical order, so any value of `jobs` produces bit-identical
-     * results — e-graphs, stats, extracted terms (`seer-opt -j N`).
+     * Worker threads for both parallel stages: external-pass
+     * evaluation and the runner's sharded match phase
+     * (`seer-opt -j N`). Snippet evaluation is a pure function under a
+     * content-seeded name scope, match shards are gathered in a fixed
+     * order, and unions stay strictly serial in canonical order, so any
+     * value of `jobs` produces bit-identical results — e-graphs, stats,
+     * extracted terms.
      */
     unsigned jobs = 1;
-    /**
-     * Worker threads for the runner's sharded e-matching phase alone
-     * (`seer-opt --match-jobs`). 0 (default) inherits `jobs`, so one -j
-     * knob drives both parallel stages; setting it decouples search
-     * parallelism from pass-eval parallelism (e.g. for the bench
-     * saturation arms). Determinism contract is the same: any value
-     * produces bit-identical results.
-     */
-    unsigned match_jobs = 0;
     /**
      * Memoize pass outcomes and equivalence verdicts across iterations,
      * phases and optimize() calls. Off: outcomes are staged per
@@ -169,6 +162,35 @@ struct SeerOptions
         runner.time_limit_seconds = 10;
         runner.match_limit = 1000;
     }
+};
+
+/** Per-phase extraction report (the "extraction" section of --stats). */
+struct ExtractionPhaseStats
+{
+    std::string name;
+    /** "greedy", "exact" or "naive" (greedy with from-scratch bounds
+     *  and no analysis: the reference arm). */
+    std::string extractor;
+    /** False when the run was canceled before this phase. */
+    bool ran = false;
+    /** Extraction calls (1 for the root phase, one per refined
+     *  sub-expression for the refinement phase). */
+    size_t extractions = 0;
+    size_t classes_visited = 0;
+    size_t classes_recomputed = 0;
+    size_t bound_prunes = 0;
+    size_t expansions = 0;
+    /** Exact searches that ran out of budget (result then best-effort,
+     *  not proven optimal). */
+    size_t budget_exhaustions = 0;
+    /** Bounds came from a registered cost-bound analysis. */
+    bool used_analysis = false;
+    double seconds = 0;
+    /** Costs of this phase's result under its own model (root phase:
+     *  the extraction's costs; refinement: summed over refined
+     *  sub-expressions). */
+    double tree_cost = 0;
+    double dag_cost = 0;
 };
 
 /** Statistics of a run (the Table 5 columns). */

@@ -120,9 +120,12 @@ TEST(AblationTest, ThreadedRunIsDeterministic)
         bench::findBenchmark("seq_loops");
     SeerOptions serial;
     SeerOptions threaded;
-    threaded.runner.match_jobs = 4;
+    threaded.jobs = 4;
     SeerResult a = run(benchmark, serial);
     SeerResult b = run(benchmark, threaded);
+    // The setting reached the match phase: an ignored threading knob
+    // would make this test vacuous.
+    EXPECT_EQ(b.stats.match_phase.jobs, 4u);
     // Identical exploration -> identical extraction (modulo fresh tag
     // numbering, which printing normalizes away in op counts).
     EXPECT_EQ(a.stats.egraph_nodes, b.stats.egraph_nodes);

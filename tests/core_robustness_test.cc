@@ -127,7 +127,7 @@ TEST(RobustnessTest, ExplodingCrashRuleIsRefusedAndQuarantined)
     // verifier-clean, equivalent IR with the whole trail in the stats.
     ir::Module input = ir::parseModule(kSeqLoops);
     SeerOptions options;
-    options.quarantine_after = 3;
+    options.runner.quarantine_after = 3;
     options.runner.max_nodes = 500;
     auto calls = std::make_shared<size_t>(0);
     options.extra_control_rules.push_back(eg::makeDynRewrite(

@@ -84,9 +84,6 @@ usage()
         "  -j, --jobs N       worker threads for e-matching and\n"
         "                     external-pass evaluation; results are\n"
         "                     bit-identical for every N (default 1)\n"
-        "  --match-jobs N     worker threads for the sharded e-matching\n"
-        "                     phase alone (default: inherit --jobs);\n"
-        "                     same bit-identical guarantee\n"
         << seer::cli::scheduleFlagsUsage() <<
         "  --pass-cache FILE  persist the pass-outcome/verification\n"
         "                     cache across runs (loaded at start, saved\n"
@@ -218,11 +215,6 @@ parseArgs(int argc, char **argv, CliOptions &options)
             options.report = true;
         } else if (arg == "--stats") {
             options.stats_file = args.value();
-        } else if (arg == "--match-jobs") {
-            int64_t jobs = args.intValue();
-            if (!args.failed() && jobs < 1)
-                args.fail("--match-jobs must be >= 1");
-            options.seer.match_jobs = static_cast<unsigned>(jobs);
         } else if (arg == "-j" || arg == "--jobs") {
             int64_t jobs = args.intValue();
             if (!args.failed() && jobs < 1)
