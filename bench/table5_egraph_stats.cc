@@ -26,8 +26,7 @@ using namespace seer::benchx;
 int
 main(int argc, char **argv)
 {
-    // --threads N runs e-matching and external-pass evaluation on N
-    // workers (parallel e-matching is the paper's future-work item);
+    // --threads N runs external-pass evaluation on N workers;
     // exploration is identical, only wall-clock changes. --json PATH
     // dumps the machine-readable stats.
     unsigned threads = 1;

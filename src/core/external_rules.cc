@@ -420,7 +420,6 @@ makeSnippetRule(ContextPtr ctx, SnippetRuleSpec spec)
             ctx->scheduler->schedule(std::move(wave));
         if (batch.empty())
             return;
-        cache.countBatch(batch.size());
         std::vector<EvalBatchItem> items;
         items.reserve(batch.size());
         for (const ProposalCandidate &candidate : batch)

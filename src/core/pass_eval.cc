@@ -253,6 +253,7 @@ evaluateBatch(const std::vector<EvalBatchItem> &batch,
               const SnippetEvalConfig &config, ExternalEvalCache &cache,
               unsigned jobs, const std::function<bool()> &cancelled)
 {
+    cache.countBatch(batch.size(), jobs);
     parallelFor(
         batch.size(), jobs,
         [&](size_t i) {
@@ -426,11 +427,12 @@ ExternalEvalCache::countDeduped(size_t n)
 }
 
 void
-ExternalEvalCache::countBatch(size_t jobs)
+ExternalEvalCache::countBatch(size_t jobs, unsigned workers)
 {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.batches;
     stats_.batch_jobs += jobs;
+    stats_.batch_workers += workers;
 }
 
 void

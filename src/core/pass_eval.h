@@ -102,6 +102,10 @@ struct ExternalEvalStats
     size_t batches = 0;
     /** Jobs evaluated inside those batches. */
     size_t batch_jobs = 0;
+    /** Worker threads handed to those batches (`-j` per batch),
+     *  summed. Not in the --stats JSON, whose counters stay
+     *  byte-identical across -j; tests read it to see -j arrive. */
+    size_t batch_workers = 0;
     /** Evaluations cut short by the cooperative deadline (uncached). */
     size_t canceled = 0;
     // Per-stage seconds, summed over evaluations (CPU-parallel stages
@@ -170,7 +174,7 @@ class ExternalEvalCache
     // --- stats ----------------------------------------------------------
     void countMiss();
     void countDeduped(size_t n);
-    void countBatch(size_t jobs);
+    void countBatch(size_t jobs, unsigned workers);
     struct EvalCharge
     {
         double emit_seconds = 0;
@@ -257,14 +261,14 @@ struct EvalBatchItem
 };
 
 /**
- * Worker-pool fan-out over one scheduled batch: each item runs
- * evaluateSnippet on one of `jobs` threads and lands its outcome in
- * `cache`. Pure fan-out — each job touches only the thread-safe cache,
- * and union order is untouched (the apply phase stays serial), so any
- * jobs count produces bit-identical e-graphs. Jobs must not throw
- * (worker-thread contract): an evaluation that crashes or fails to
- * allocate is simply not cached — the serial consult re-evaluates
- * inline, where the runner's containment applies.
+ * Worker-pool fan-out over one scheduled batch, counted in `cache`'s
+ * stats: each item runs evaluateSnippet on one of `jobs` threads and
+ * lands its outcome in `cache`. Pure fan-out — each job touches only
+ * the thread-safe cache, and union order is untouched (the apply phase
+ * stays serial), so any jobs count produces bit-identical e-graphs.
+ * Jobs must not throw (worker-thread contract): an evaluation that
+ * crashes or fails to allocate is simply not cached — the serial
+ * consult re-evaluates inline, where the runner's containment applies.
  */
 void evaluateBatch(const std::vector<EvalBatchItem> &batch,
                    const std::function<bool(ir::Operation &)> &transform,

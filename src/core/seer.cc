@@ -66,6 +66,7 @@ evalStatsDelta(const ExternalEvalStats &now, const ExternalEvalStats &base)
     d.evaluations -= base.evaluations;
     d.batches -= base.batches;
     d.batch_jobs -= base.batch_jobs;
+    d.batch_workers -= base.batch_workers;
     d.canceled -= base.canceled;
     d.emit_seconds -= base.emit_seconds;
     d.pass_seconds -= base.pass_seconds;
@@ -188,6 +189,7 @@ class SaturatePhase
             eg::Runner runner(egraph_, runner_options_);
             add_rules(runner);
             report = runner.run();
+            result_.stats.stop_reasons.push_back(report->stop);
             // Chaos: a fault between exploration and commit — the
             // whole phase must roll back, leaving no partial e-graph.
             if (faultFire(FaultPoint::RollbackMidPhase))
@@ -258,11 +260,9 @@ class SaturatePhase
         mp.index_scans += report.match_phase.index_scans;
         mp.full_scans += report.match_phase.full_scans;
         mp.incremental_scans += report.match_phase.incremental_scans;
-        mp.shards += report.match_phase.shards;
         mp.shard_seconds += report.match_phase.shard_seconds;
         mp.search_wall_seconds +=
             report.match_phase.search_wall_seconds;
-        mp.jobs = std::max(mp.jobs, report.match_phase.jobs);
         absorbHealth(report);
     }
 
@@ -666,10 +666,6 @@ class OptimizeDriver
         runner_options_ = options_.runner;
         runner_options_.catch_rule_errors = !options_.strict;
         runner_options_.exec = exec_;
-        // One -j knob drives both parallel stages: e-matching and the
-        // external-pass worker pool (both deterministic by
-        // construction).
-        runner_options_.match_jobs = context_->jobs;
         return true;
     }
 
@@ -884,6 +880,10 @@ toJson(const SeerStats &stats)
     out.set("egraph_nodes", stats.egraph_nodes);
     out.set("egraph_classes", stats.egraph_classes);
     out.set("unions_applied", stats.unions_applied);
+    json::Value stops{json::Array{}};
+    for (eg::StopReason stop : stats.stop_reasons)
+        stops.push(json::Value{eg::stopReasonName(stop)});
+    out.set("stop_reasons", std::move(stops));
     out.set("local_extractions", stats.local_extractions);
     out.set("local_extraction_hits", stats.local_extraction_hits);
     out.set("time_in_passes_seconds", stats.time_in_passes_seconds);

@@ -29,10 +29,10 @@ struct SeerOptions
     /** Interleaved control/data phases (Section 4.4). */
     int max_phases = 3;
     /**
-     * Runner limits per phase. optimize() derives three of its fields
-     * and overwrites whatever the caller set there: `match_jobs` (from
-     * `jobs`), `catch_rule_errors` (from `strict`) and `exec` (the
-     * run's governance context).
+     * Runner limits per phase. optimize() derives two of its fields
+     * and overwrites whatever the caller set there: `catch_rule_errors`
+     * (from `strict`) and `exec` (the run's governance context). The
+     * runner's search is serial; `jobs` does not reach it.
      */
     eg::RunnerOptions runner;
     /** Exact (branch-and-bound "ILP") datapath extraction; greedy
@@ -98,13 +98,11 @@ struct SeerOptions
 
     // --- memoized + parallel external-pass evaluation --------------------
     /**
-     * Worker threads for both parallel stages: external-pass
-     * evaluation and the runner's sharded match phase
-     * (`seer-opt -j N`). Snippet evaluation is a pure function under a
-     * content-seeded name scope, match shards are gathered in a fixed
-     * order, and unions stay strictly serial in canonical order, so any
-     * value of `jobs` produces bit-identical results — e-graphs, stats,
-     * extracted terms.
+     * Worker threads for external-pass evaluation (`seer-opt -j N`),
+     * the only parallel stage. Snippet evaluation is a pure function
+     * under a content-seeded name scope, and search and unions stay
+     * serial in canonical order, so any value of `jobs` produces
+     * bit-identical results — e-graphs, stats, extracted terms.
      */
     unsigned jobs = 1;
     /**
@@ -212,6 +210,9 @@ struct SeerStats
     /** Per-rule scheduler/profiling stats, aggregated by rule name over
      *  every runner invocation of the interleaved phases. */
     std::vector<eg::RuleStats> rule_stats;
+    /** Why each saturation (one runner invocation per phase) stopped,
+     *  in run order — including phases later rolled back. */
+    std::vector<eg::StopReason> stop_reasons;
     /** The concatenated iteration trajectory across all phases. */
     std::vector<eg::IterationStats> iterations;
     /** Match-phase counters (index hits, watermark skips, cache reuse)

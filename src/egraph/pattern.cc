@@ -271,14 +271,17 @@ class MatchMachine
     std::vector<Choice> stack_;
 };
 
+namespace {
+
+/**
+ * The candidate classes of `pattern`, canonicalized, deduplicated and
+ * sorted ascending. With `use_watermark`, classes stamped at or below
+ * `watermark` are skipped (and counted) before the sort.
+ */
 std::vector<EClassId>
-ematchCandidates(const EGraph &egraph, const Pattern &pattern,
-                 uint64_t watermark, bool use_watermark,
-                 EMatchStats *stats)
+candidateClasses(const EGraph &egraph, const CompiledPattern &cp,
+                 uint64_t watermark, bool use_watermark, EMatchStats &st)
 {
-    EMatchStats local;
-    EMatchStats &st = stats ? *stats : local;
-    const CompiledPattern &cp = pattern.compiled();
     std::vector<EClassId> candidates;
 
     if (cp.rootIsVar()) {
@@ -326,33 +329,22 @@ ematchCandidates(const EGraph &egraph, const Pattern &pattern,
 }
 
 std::vector<Match>
-ematchChunk(const EGraph &egraph, const Pattern &pattern,
-            const EClassId *candidates, size_t count, size_t limit,
-            EMatchStats *stats)
-{
-    EMatchStats local;
-    EMatchStats &st = stats ? *stats : local;
-    std::vector<Match> out;
-    MatchMachine machine(egraph, pattern.compiled());
-    for (size_t i = 0; i < count; ++i) {
-        ++st.candidates_visited;
-        if (!machine.matchAt(candidates[i], out, limit))
-            break;
-    }
-    return out;
-}
-
-namespace {
-
-std::vector<Match>
 ematchImpl(const EGraph &egraph, const Pattern &pattern,
            uint64_t watermark, bool use_watermark, size_t limit,
            EMatchStats *stats)
 {
-    std::vector<EClassId> candidates = ematchCandidates(
-        egraph, pattern, watermark, use_watermark, stats);
-    return ematchChunk(egraph, pattern, candidates.data(),
-                       candidates.size(), limit, stats);
+    EMatchStats local;
+    EMatchStats &st = stats ? *stats : local;
+    const CompiledPattern &cp = pattern.compiled();
+    std::vector<Match> out;
+    MatchMachine machine(egraph, cp);
+    for (EClassId root :
+         candidateClasses(egraph, cp, watermark, use_watermark, st)) {
+        ++st.candidates_visited;
+        if (!machine.matchAt(root, out, limit))
+            break;
+    }
+    return out;
 }
 
 } // namespace

@@ -95,7 +95,6 @@ struct RuleStats
     double apply_seconds = 0;
     size_t search_candidates = 0; ///< classes actually matched against
     size_t search_skipped_clean = 0; ///< skipped via watermark
-    size_t search_shards = 0; ///< shard work items this rule's searches split into
 };
 
 /**
@@ -118,17 +117,11 @@ struct MatchPhaseStats
     size_t full_scans = 0;
     /** Watermark-filtered (incremental) searches. */
     size_t incremental_scans = 0;
-    /** Shard work items dispatched across the worker pool. Shard
-     *  boundaries are a fixed candidate-count constant, independent of
-     *  the job count, so this (like every non-timing field here) is
-     *  identical for -j1 and -jN. */
-    size_t shards = 0;
-    /** Summed busy time of all shard jobs; exceeds wall time when the
-     *  pool overlaps them on multiple cores. */
-    double shard_seconds = 0;
-    /** Wall-clock time spent inside the parallel search phases. */
+    /** Wall-clock time spent inside the search phases. */
     double search_wall_seconds = 0;
-    /** Worker count the search phase ran with (match_jobs). */
+    // Kept (out of the JSON) only because bench/e2e/seer_bench.cc reads
+    // them: summed per-rule search time, and a search that is serial.
+    double shard_seconds = 0;
     size_t jobs = 1;
 };
 
@@ -151,17 +144,6 @@ struct RunnerOptions
     size_t ban_decay_iters = 3;
     /** Record lhs/rhs terms for each union (needed for verification). */
     bool record_proofs = true;
-    /**
-     * Worker count for the (read-only) e-matching phase. 1 = serial.
-     * The search phase shards into (rule, candidate-chunk) work items
-     * over a persistent pool (support/worker_pool.h); workers fill
-     * disjoint result slots and the runner folds them in (rule, shard)
-     * order, so match lists, reports, and stats are bit-identical for
-     * any job count — `-j1 ≡ -jN` extends from pass eval to e-matching.
-     * This is the paper's "parallel e-graph exploration" future-work
-     * item.
-     */
-    unsigned match_jobs = 1;
     /**
      * Fault isolation: when true (default) a FatalError thrown while
      * searching or applying one rule is caught, logged in the report,
@@ -265,6 +247,11 @@ class Runner
 
     /** Ban span for the *next* ban: ban_length << times_banned. */
     size_t banSpanFor(const RuleState &state) const;
+
+    /** Search rule `r` up to its budget + 1, refresh its match cache
+     *  (watermark `scan_tick`) and account the search in `report`. */
+    std::vector<Match> search(size_t r, uint64_t scan_tick,
+                              RunnerReport &report);
 
     EGraph &egraph_;
     RunnerOptions options_;

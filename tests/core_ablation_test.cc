@@ -123,9 +123,11 @@ TEST(AblationTest, ThreadedRunIsDeterministic)
     threaded.jobs = 4;
     SeerResult a = run(benchmark, serial);
     SeerResult b = run(benchmark, threaded);
-    // The setting reached the match phase: an ignored threading knob
-    // would make this test vacuous.
-    EXPECT_EQ(b.stats.match_phase.jobs, 4u);
+    // The setting reached the evaluation pool: an ignored threading
+    // knob would make this test vacuous.
+    const ExternalEvalStats &eval = b.stats.external_eval;
+    EXPECT_GT(eval.batches, 0u);
+    EXPECT_EQ(eval.batch_workers, 4 * eval.batches);
     // Identical exploration -> identical extraction (modulo fresh tag
     // numbering, which printing normalizes away in op counts).
     EXPECT_EQ(a.stats.egraph_nodes, b.stats.egraph_nodes);

@@ -307,7 +307,10 @@ checkGolden(const std::string &name, unsigned jobs = 1)
     options.unroll_max_trip = bench->unroll_max_trip;
     options.jobs = jobs;
     SeerResult result = optimize(module, bench->func, options);
-    EXPECT_EQ(result.stats.match_phase.jobs, jobs);
+    // -j reached the evaluation pool: every batch ran on `jobs` workers.
+    const ExternalEvalStats &eval = result.stats.external_eval;
+    EXPECT_GT(eval.batches, 0u);
+    EXPECT_EQ(eval.batch_workers, jobs * eval.batches);
 
     std::ostringstream actual;
     actual << "unions " << result.stats.unions_applied << "\n";
@@ -341,10 +344,35 @@ SEER_GOLDEN_TEST(sort_radix)
 
 #undef SEER_GOLDEN_TEST
 
-// One -j setting drives both parallel stages, e-matching and pass
-// evaluation; either at 4 workers must reproduce the same goldens.
+// -j drives the pass-evaluation pool; at 4 workers it must reproduce
+// the same goldens.
 TEST(ExhaustiveGolden, seq_loops_jobs4) { checkGolden("seq_loops", 4); }
 TEST(ExhaustiveGolden, kmp_jobs4) { checkGolden("kmp", 4); }
+
+/** Under the default options (10 s runner limit included), every
+ *  saturation of seq_loops stops on its deterministic fuel, never on
+ *  the wall clock, and the stop reasons do not depend on -j. */
+TEST(StopReasons, SeqLoopsNeverHitsTheTimeLimit)
+{
+    const bench::Benchmark &bench = bench::findBenchmark("seq_loops");
+    auto stops = [&](unsigned jobs) {
+        ir::Module module = bench::parseBenchmark(bench);
+        SeerOptions options;
+        options.jobs = jobs;
+        SeerResult result = optimize(module, bench.func, options);
+        std::string json = toJson(result.stats).dump();
+        EXPECT_NE(json.find("\"stop_reasons\": ["), std::string::npos);
+        std::vector<std::string> names;
+        for (eg::StopReason stop : result.stats.stop_reasons)
+            names.push_back(eg::stopReasonName(stop));
+        return names;
+    };
+    std::vector<std::string> j1 = stops(1);
+    EXPECT_FALSE(j1.empty());
+    for (const std::string &name : j1)
+        EXPECT_NE(name, "time-limit");
+    EXPECT_EQ(stops(4), j1);
+}
 
 // --- pass-cache key pin ----------------------------------------------------
 

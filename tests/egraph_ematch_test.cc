@@ -234,246 +234,199 @@ TEST(EMatchDifferentialTest, StatsReflectIndexAndWatermark)
     EXPECT_FALSE(bare.used_index);
 }
 
+/** Everything a saturation run leaves behind that must not depend on
+ *  how the search found its matches: the report JSON with wall-clock
+ *  timings and the matcher's own search counters normalized out, the
+ *  final e-graph (node/class counts and every pool pattern's match
+ *  list) and the proof records. */
+struct RunOutcome
+{
+    std::string report_json;
+    size_t nodes = 0;
+    size_t classes = 0;
+    std::vector<std::string> records;
+    std::vector<std::vector<Match>> matches;
+};
+
+RunOutcome
+observe(const EGraph &eg, RunnerReport report)
+{
+    RunOutcome out;
+    for (const RewriteRecord &record : report.records) {
+        out.records.push_back(record.rule + ": " + record.lhs->str() +
+                              " => " + record.rhs->str());
+    }
+    for (RuleStats &rule : report.rules) {
+        rule.search_seconds = 0;
+        rule.apply_seconds = 0;
+        rule.search_candidates = 0;
+        rule.search_skipped_clean = 0;
+    }
+    for (IterationStats &it : report.iterations)
+        it.seconds = 0;
+    report.total_seconds = 0;
+    report.match_phase = MatchPhaseStats{};
+    out.report_json = toJson(report).dump(2);
+    out.nodes = eg.numNodes();
+    out.classes = eg.numClasses();
+    for (const PatternPtr &p : patternPool())
+        out.matches.push_back(ematch(eg, *p));
+    EXPECT_EQ(eg.debugCheckInvariants(), "");
+    return out;
+}
+
+void
+expectSameOutcome(const RunOutcome &got, const RunOutcome &want,
+                  const std::string &what)
+{
+    EXPECT_EQ(got.report_json, want.report_json) << what;
+    EXPECT_EQ(got.nodes, want.nodes) << what;
+    EXPECT_EQ(got.classes, want.classes) << what;
+    EXPECT_EQ(got.records, want.records) << what;
+    ASSERT_EQ(got.matches.size(), want.matches.size()) << what;
+    for (size_t i = 0; i < want.matches.size(); ++i)
+        expectSameMatchList(got.matches[i], want.matches[i],
+                            what.c_str());
+}
+
+RunnerOptions
+matcherOptions(bool naive)
+{
+    RunnerOptions options;
+    options.naive_match = naive;
+    options.incremental_match = !naive;
+    return options;
+}
+
+/** A rover saturation over an arithmetic term. */
+RunOutcome
+roverRun(bool naive)
+{
+    EGraph eg(rover::roverAnalysisHooks());
+    eg.addTerm(parseTerm(
+        "(arith.addi:i32 (arith.muli:i32 var:x const:12:i32) "
+        "(arith.addi:i32 (arith.muli:i32 var:y const:6:i32) "
+        "(arith.muli:i32 var:x const:3:i32)))"));
+    RunnerOptions options = matcherOptions(naive);
+    options.max_iters = 6;
+    options.max_nodes = 20000;
+    options.record_proofs = false;
+    Runner runner(eg, options);
+    runner.addRules(rover::roverRules());
+    return observe(eg, runner.run());
+}
+
+/**
+ * A random graph with a fan of f-nodes far wider than one match budget,
+ * under static and dynamic rules: backoff truncation and bans, a
+ * crashing rule whose rolled-back applications invalidate every
+ * incremental cache and end in quarantine, and a flaky rule that fails
+ * on some of its matches.
+ */
+RunOutcome
+faultyFanRun(uint32_t seed, bool naive)
+{
+    // Few unions: heavy random merging congruence-collapses a small op
+    // alphabet into near-degenerate graphs (single-digit class counts).
+    RandomGraph g(seed, 160, 5);
+    std::mt19937 rng(seed * 31 + 5);
+    for (int i = 0; i < 600; ++i) {
+        g.ids.push_back(
+            g.eg.add(ENode{Symbol("leaf" + std::to_string(i)), {}}));
+    }
+    for (int i = 0; i < 1200; ++i) {
+        ENode node{Symbol("f"),
+                   {g.ids[rng() % g.ids.size()],
+                    g.ids[rng() % g.ids.size()]}};
+        g.ids.push_back(g.eg.add(node));
+    }
+    g.eg.rebuild();
+
+    RunnerOptions options = matcherOptions(naive);
+    options.max_iters = 5;
+    options.match_limit = 7; // force truncation and bans
+    options.ban_length = 1;
+    options.record_proofs = true;
+    options.catch_rule_errors = true;
+    options.quarantine_after = 2;
+
+    Runner runner(g.eg, options);
+    runner.addRule(makeRewrite("comm", "(f ?x ?y)", "(f ?y ?x)"));
+    runner.addRule(makeRewrite("widen", "(g ?x)", "(h ?x ?x)"));
+    runner.addRule(makeRewrite("narrow", "(h ?x ?y)", "(g ?x)"));
+    // Always throws: every application rolls its checkpoint back
+    // (bumping the rollback generation, which invalidates every
+    // incremental cache) and the circuit breaker quarantines it.
+    runner.addRule(makeDynRewrite(
+        "crash", "(k ?a ?b ?c)",
+        [](EGraph &, const Match &) -> std::optional<TermPtr> {
+            throw FatalError("injected crash");
+        }));
+    // Throws on the matches rooted at even class ids, so both
+    // matchers see the same failures, rollbacks and quarantine.
+    runner.addRule(makeDynRewrite(
+        "flaky", "(g ?x)",
+        [](EGraph &, const Match &m) -> std::optional<TermPtr> {
+            if (m.root % 2 == 0)
+                throw FatalError("injected flaky crash");
+            return parseTerm("flaky_leaf");
+        }));
+    RunnerReport report = runner.run();
+
+    // The scenario must exercise what it claims to, or the comparison
+    // proves nothing: bans, quarantine, recovered flaky failures, and
+    // proof records.
+    EXPECT_GT(report.rules[0].bans, 0u) << "seed " << seed;
+    EXPECT_TRUE(report.rules[3].quarantined) << "seed " << seed;
+    EXPECT_GT(report.rules[4].failures, 0u) << "seed " << seed;
+    EXPECT_FALSE(report.records.empty()) << "seed " << seed;
+    return observe(g.eg, std::move(report));
+}
+
 /** End-to-end: a rover saturation run must be bit-identical between the
  *  naive reference matcher and the indexed + incremental default. */
 TEST(RunnerDifferentialTest, NaiveAndIndexedRunsAreIdentical)
 {
-    auto runOnce = [](bool naive) {
-        EGraph eg(rover::roverAnalysisHooks());
-        eg.addTerm(parseTerm(
-            "(arith.addi:i32 (arith.muli:i32 var:x const:12:i32) "
-            "(arith.addi:i32 (arith.muli:i32 var:y const:6:i32) "
-            "(arith.muli:i32 var:x const:3:i32)))"));
-        RunnerOptions options;
-        options.max_iters = 6;
-        options.max_nodes = 20000;
-        options.record_proofs = false;
-        options.naive_match = naive;
-        options.incremental_match = !naive;
-        Runner runner(eg, options);
-        runner.addRules(rover::roverRules());
-        RunnerReport report = runner.run();
-        std::vector<size_t> per_rule;
-        for (const RuleStats &rule : report.rules)
-            per_rule.push_back(rule.matches);
-        return std::make_tuple(report.total_applied,
-                               report.iterations.size(), eg.numNodes(),
-                               eg.numClasses(), per_rule);
-    };
-
-    auto naive = runOnce(true);
-    auto indexed = runOnce(false);
-    EXPECT_EQ(std::get<0>(naive), std::get<0>(indexed));
-    EXPECT_EQ(std::get<1>(naive), std::get<1>(indexed));
-    EXPECT_EQ(std::get<2>(naive), std::get<2>(indexed));
-    EXPECT_EQ(std::get<3>(naive), std::get<3>(indexed));
-    EXPECT_EQ(std::get<4>(naive), std::get<4>(indexed))
-        << "per-rule match counts must not depend on the matcher";
+    expectSameOutcome(roverRun(false), roverRun(true), "rover");
 }
 
-/** The sharded matcher's building blocks: slicing an ematchCandidates()
- *  list into chunks of any size, matching each chunk independently, and
- *  concatenating (with prefix truncation) must reassemble the serial
- *  ematch() list exactly — this is the invariant the runner's parallel
- *  fold rests on. */
-TEST(EMatchDifferentialTest, ChunkedCandidatesReassembleSerialMatchList)
+/** The same contract under truncation, bans, rollbacks, quarantine and
+ *  proof recording: the faulty fan run must not depend on the matcher. */
+TEST(RunnerDifferentialTest, FaultyFanRunsAreMatcherInvariant)
 {
-    for (uint32_t seed = 20; seed < 24; ++seed) {
-        RandomGraph g(seed);
-        for (const PatternPtr &p : patternPool()) {
-            auto candidates = ematchCandidates(g.eg, *p, 0, false);
-            auto full = ematch(g.eg, *p);
-            for (size_t chunk : {size_t(1), size_t(3), size_t(7),
-                                 size_t(64)}) {
-                for (size_t limit :
-                     {size_t(0), size_t(1), size_t(5), full.size()}) {
-                    std::vector<Match> glued;
-                    for (size_t begin = 0; begin < candidates.size();
-                         begin += chunk) {
-                        size_t count = std::min(chunk, candidates.size() -
-                                                           begin);
-                        auto part =
-                            ematchChunk(g.eg, *p,
-                                        candidates.data() + begin, count,
-                                        limit);
-                        for (Match &m : part) {
-                            if (limit != 0 && glued.size() >= limit)
-                                break;
-                            glued.push_back(std::move(m));
-                        }
-                    }
-                    auto serial = ematch(g.eg, *p, limit);
-                    expectSameMatchList(glued, serial, p->str().c_str());
-                }
-            }
-        }
-    }
-}
-
-/**
- * The tentpole determinism contract: a full runner sweep — static and
- * dynamic rules, backoff truncation, guarded crashing rules that force
- * mid-run checkpoint rollbacks and quarantine events, incremental match
- * caches invalidated by those rollbacks — must be bit-identical between
- * -j1 and any other job count. "Bit-identical" here means: the final
- * e-graph (node/class counts and every pattern's match list), the proof
- * records, and the entire stats JSON with only wall-clock timings and
- * the jobs field normalized out.
- */
-TEST(RunnerDifferentialTest, JobCountSweepIsBitIdentical)
-{
-    struct Outcome
-    {
-        std::string report_json;
-        size_t nodes = 0;
-        size_t classes = 0;
-        std::vector<std::string> records;
-        std::vector<std::vector<Match>> matches;
-    };
-
-    auto normalized = [](RunnerReport report) {
-        for (RuleStats &rule : report.rules) {
-            rule.search_seconds = 0;
-            rule.apply_seconds = 0;
-        }
-        for (IterationStats &it : report.iterations)
-            it.seconds = 0;
-        report.total_seconds = 0;
-        report.match_phase.shard_seconds = 0;
-        report.match_phase.search_wall_seconds = 0;
-        report.match_phase.jobs = 0;
-        return toJson(report).dump(2);
-    };
-
-    auto runOnce = [&](uint32_t seed, unsigned jobs) {
-        // Few unions: heavy random merging congruence-collapses a small
-        // op alphabet into near-degenerate graphs (single-digit class
-        // counts), which can never split a shard.
-        RandomGraph g(seed, 160, 5);
-        // A wide fan of f-nodes over distinct leaves pushes one rule's
-        // candidate list past several shard boundaries (the shard size
-        // is 512), so the cross-shard concatenation and prefix
-        // truncation genuinely run multi-shard.
-        std::mt19937 rng(seed * 31 + 5);
-        for (int i = 0; i < 600; ++i) {
-            g.ids.push_back(g.eg.add(
-                ENode{Symbol("leaf" + std::to_string(i)), {}}));
-        }
-        for (int i = 0; i < 1200; ++i) {
-            ENode node{Symbol("f"),
-                       {g.ids[rng() % g.ids.size()],
-                        g.ids[rng() % g.ids.size()]}};
-            g.ids.push_back(g.eg.add(node));
-        }
-        g.eg.rebuild();
-
-        RunnerOptions options;
-        options.max_iters = 5;
-        options.match_limit = 7; // force truncation and bans
-        options.ban_length = 1;
-        options.record_proofs = true;
-        options.catch_rule_errors = true;
-        options.quarantine_after = 2;
-        options.incremental_match = true;
-        options.match_jobs = jobs;
-
-        Runner runner(g.eg, options);
-        runner.addRule(makeRewrite("comm", "(f ?x ?y)", "(f ?y ?x)"));
-        runner.addRule(makeRewrite("widen", "(g ?x)", "(h ?x ?x)"));
-        runner.addRule(makeRewrite("narrow", "(h ?x ?y)", "(g ?x)"));
-        // Always throws: every application rolls its checkpoint back
-        // (bumping the rollback generation, which invalidates every
-        // incremental cache) and the circuit breaker quarantines it.
-        runner.addRule(makeDynRewrite(
-            "crash", "(k ?a ?b ?c)",
-            [](EGraph &, const Match &) -> std::optional<TermPtr> {
-                throw FatalError("injected search-sweep crash");
-            }));
-        // Throws on half its matches (keyed on the match root, which
-        // the determinism contract makes identical across job counts),
-        // so rollbacks interleave with successful dynamic unions.
-        runner.addRule(makeDynRewrite(
-            "flaky", "(g ?x)",
-            [](EGraph &, const Match &m) -> std::optional<TermPtr> {
-                if (m.root % 2 == 0)
-                    throw FatalError("injected flaky crash");
-                return parseTerm("flaky_leaf");
-            }));
-        RunnerReport report = runner.run();
-
-        // The scenario must genuinely split rules across shards, or
-        // the sweep degenerates to one-shard-per-rule and proves
-        // nothing about cross-shard merging.
-        EXPECT_GT(report.match_phase.shards,
-                  report.match_phase.index_scans +
-                      report.match_phase.full_scans)
-            << "expected at least one multi-shard search";
-
-        Outcome out;
-        for (const RewriteRecord &record : report.records)
-            out.records.push_back(record.rule);
-        out.report_json = normalized(std::move(report));
-        out.nodes = g.eg.numNodes();
-        out.classes = g.eg.numClasses();
-        for (const PatternPtr &p : patternPool())
-            out.matches.push_back(ematch(g.eg, *p));
-        EXPECT_EQ(g.eg.debugCheckInvariants(), "");
-        return out;
-    };
-
     for (uint32_t seed = 60; seed < 63; ++seed) {
-        Outcome base = runOnce(seed, 1);
-        for (unsigned jobs : {2u, 4u, 8u}) {
-            Outcome other = runOnce(seed, jobs);
-            EXPECT_EQ(other.report_json, base.report_json)
-                << "stats JSON diverged at seed " << seed << " -j"
-                << jobs;
-            EXPECT_EQ(other.nodes, base.nodes) << "seed " << seed;
-            EXPECT_EQ(other.classes, base.classes) << "seed " << seed;
-            EXPECT_EQ(other.records, base.records)
-                << "proof records diverged at seed " << seed;
-            ASSERT_EQ(other.matches.size(), base.matches.size());
-            for (size_t i = 0; i < base.matches.size(); ++i)
-                expectSameMatchList(other.matches[i], base.matches[i],
-                                    "final match lists");
-        }
+        expectSameOutcome(faultyFanRun(seed, false),
+                          faultyFanRun(seed, true),
+                          "faulty fan, seed " + std::to_string(seed));
     }
 }
 
 /** A mid-run *external* rollback (a caller checkpoint spanning runner
- *  activity) must leave -j1 and -jN in identical states too: the sweep
- *  above covers per-application rollbacks, this covers the coarse
- *  phase-rollback pattern core/seer.cc uses. */
+ *  activity: the phase-rollback pattern core/seer.cc uses) must rewind
+ *  the graph so completely that a rerun on it equals a fresh run: no
+ *  stale stamp or cached match may leak into the second runner. With
+ *  the search serial, this is what is left of job invariance here. */
 TEST(RunnerDifferentialTest, ExternalCheckpointRollbackIsJobInvariant)
 {
-    auto runOnce = [](unsigned jobs) {
-        RandomGraph g(91, 140, 20);
-        auto cp = g.eg.checkpoint();
+    auto runOn = [](EGraph &eg) {
         RunnerOptions options;
         options.max_iters = 3;
         options.match_limit = 16;
         options.record_proofs = false;
-        options.match_jobs = jobs;
-        Runner runner(g.eg, options);
+        Runner runner(eg, options);
         runner.addRule(makeRewrite("comm", "(f ?x ?y)", "(f ?y ?x)"));
         runner.addRule(makeRewrite("widen", "(g ?x)", "(h ?x ?x)"));
-        runner.run();
-        g.eg.rollback(cp);
-
-        // Run again on the restored graph: caches and stamps must have
-        // rewound identically regardless of the first run's job count.
-        Runner again(g.eg, options);
-        again.addRule(makeRewrite("comm", "(f ?x ?y)", "(f ?y ?x)"));
-        again.addRule(makeRewrite("widen", "(g ?x)", "(h ?x ?x)"));
-        RunnerReport report = again.run();
-        EXPECT_EQ(g.eg.debugCheckInvariants(), "");
-        return std::make_tuple(report.total_applied, g.eg.numNodes(),
-                               g.eg.numClasses());
+        return observe(eg, runner.run());
     };
 
-    auto base = runOnce(1);
-    EXPECT_EQ(runOnce(2), base);
-    EXPECT_EQ(runOnce(8), base);
+    RandomGraph fresh(91, 140, 20);
+    RunOutcome want = runOn(fresh.eg);
+
+    RandomGraph g(91, 140, 20);
+    auto cp = g.eg.checkpoint();
+    runOn(g.eg);
+    g.eg.rollback(cp);
+    expectSameOutcome(runOn(g.eg), want, "rerun after rollback");
 }
 
 } // namespace

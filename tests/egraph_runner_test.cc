@@ -160,18 +160,22 @@ TEST(TimeLimitTest, EnforcedInsideTheMatchPhase)
     EXPECT_TRUE(report.iterations.empty());
 }
 
-TEST(TimeLimitTest, ThreadedMatchPhaseAlsoHonorsTheLimit)
+/** A truncated search stops at the first budget + 1 matches: a fan of
+ *  far more candidates than that, each matching once, is visited only
+ *  up to the budget + 1st candidate — however wide the fan. */
+TEST(RuleStatsTest, TruncatedSearchVisitsBudgetPlusOneCandidates)
 {
-    EGraph eg = fanoutGraph(50);
+    EGraph eg = fanoutGraph(1300);
     RunnerOptions options;
-    options.time_limit_seconds = 0.0;
-    options.match_jobs = 4;
+    options.match_limit = 7;
+    options.max_iters = 1;
     Runner runner(eg, options);
     runner.addRule(swapRule());
-    runner.addRule(makeRewrite("swap2", "(h2 ?x)", "(h3 ?x)"));
     RunnerReport report = runner.run();
-    EXPECT_EQ(report.stop, StopReason::TimeLimit);
-    EXPECT_EQ(report.total_applied, 0u);
+    EXPECT_EQ(report.rules[0].bans, 1u);
+    EXPECT_EQ(report.match_phase.candidates_visited,
+              options.match_limit + 1);
+    EXPECT_EQ(report.rules[0].search_candidates, options.match_limit + 1);
 }
 
 TEST(RuleStatsTest, PerRuleCountersAndTimesAreTracked)

@@ -74,18 +74,8 @@ def real_times(benchmarks):
     return times
 
 
-JOBS_ARM_RE = re.compile(r"^(?P<base>.*)/jobs:(?P<jobs>\d+)"
-                         r"(?P<rest>(/[a-z_]+:[0-9.]+)*)$")
-
-
 def summarize_egraph(benchmarks):
-    """Pair <base>/naive:1 with <base>/naive:0 and report speedups.
-
-    Benchmarks parameterized with jobs:N instead pair every arm against
-    the serial jobs:1 baseline (the sharded e-match scaling arms); the
-    entry carries the per-arm counters (shards, search wall/busy
-    seconds, parallel efficiency) alongside the wall-time speedup.
-    """
+    """Pair <base>/naive:1 with <base>/naive:0 and report speedups."""
     times = real_times(benchmarks)
     counters = {}
     for bench in benchmarks:
@@ -93,20 +83,12 @@ def summarize_egraph(benchmarks):
             continue
         counters[bench["name"]] = {
             key: value for key, value in bench.items()
-            if key in ("shards", "search_wall_s", "shard_busy_s",
-                       "parallel_efficiency", "nodes", "applied",
-                       "bytes_per_node_map", "bytes_per_node_soa",
-                       "byte_reduction", "bytes_exact")
+            if key in ("nodes", "bytes_per_node_map",
+                       "bytes_per_node_soa", "byte_reduction",
+                       "bytes_exact")
         }
     summary = {}
-    jobs_groups = {}
     for name, time in times.items():
-        match = JOBS_ARM_RE.match(name)
-        if match is not None:
-            key = (match.group("base"), match.group("rest"))
-            jobs_groups.setdefault(key, {})[
-                int(match.group("jobs"))] = name
-            continue
         if not name.endswith("/naive:1"):
             continue
         base = name[: -len("/naive:1")]
@@ -118,24 +100,6 @@ def summarize_egraph(benchmarks):
             "indexed_time": indexed,
             "speedup": time / indexed,
         }
-    for (base, rest), arms in jobs_groups.items():
-        baseline = arms.get(1)
-        if baseline is None or times[baseline] <= 0:
-            continue
-        entry = {
-            "baseline_time": times[baseline],
-            "baseline_counters": counters.get(baseline, {}),
-            "arms": {},
-        }
-        for jobs, name in sorted(arms.items()):
-            if jobs == 1 or times[name] <= 0:
-                continue
-            entry["arms"][f"jobs:{jobs}"] = {
-                "time": times[name],
-                "speedup": times[baseline] / times[name],
-                "counters": counters.get(name, {}),
-            }
-        summary[base + rest] = entry
     # Storage-style single benchmarks: surface their counters directly.
     for name, ctrs in counters.items():
         if name in times and "byte_reduction" in ctrs:
@@ -299,12 +263,6 @@ def print_summary(mode, summary):
                 print(f"{base}: {entry['speedup']:.2f}x "
                       f"(naive {entry['naive_time']:.0f} -> "
                       f"indexed {entry['indexed_time']:.0f})")
-            elif "arms" in entry:
-                print(f"{base}: baseline jobs:1 = "
-                      f"{entry['baseline_time']:.1f}")
-                for arm, stats in sorted(entry["arms"].items()):
-                    print(f"  {arm}: {stats['speedup']:.2f}x "
-                          f"({stats['time']:.1f})")
             elif "counters" in entry:
                 counters = ", ".join(
                     f"{key}={value:.4g}" for key, value in

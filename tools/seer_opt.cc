@@ -81,9 +81,9 @@ usage()
         "                     stats as JSON (FILE '-' = stderr); the\n"
         "                     external_eval section reports pass/verify\n"
         "                     cache hit rates and per-stage timing\n"
-        "  -j, --jobs N       worker threads for e-matching and\n"
-        "                     external-pass evaluation; results are\n"
-        "                     bit-identical for every N (default 1)\n"
+        "  -j, --jobs N       worker threads for external-pass\n"
+        "                     evaluation; results are bit-identical\n"
+        "                     for every N (default 1)\n"
         << seer::cli::scheduleFlagsUsage() <<
         "  --pass-cache FILE  persist the pass-outcome/verification\n"
         "                     cache across runs (loaded at start, saved\n"
