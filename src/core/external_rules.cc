@@ -83,10 +83,7 @@ extractAllRooted(const EGraph &egraph, EClassId id, SymbolPred pred,
     // hands the external pass the hardware-cheapest representative —
     // which for indices is the shift form no polyhedral analysis can
     // read (Figure 9's failure mode).
-    const eg::CostModel &cost =
-        ctx->analysis_friendly
-            ? static_cast<const eg::CostModel &>(ctx->friendly_cost)
-            : static_cast<const eg::CostModel &>(ctx->area_cost);
+    const eg::CostModel &cost = ctx->localCost();
     std::vector<TermPtr> out;
     const eg::EClass &cls = egraph.eclass(id);
     for (const eg::ENode &node : cls.nodes) {

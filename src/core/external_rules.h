@@ -41,14 +41,22 @@ struct ExternalRuleContext
      *  (0 disables it — the paper's default). */
     int64_t unroll_max_trip = 0;
     /** Use the analysis-friendly cost for local extraction (Section
-     *  4.5); false extracts smallest terms instead (ablation: the
-     *  Figure 9 fusion then never finds the affine form). */
+     *  4.5); false extracts the area-cheapest terms instead (ablation:
+     *  the Figure 9 fusion then never finds the affine form). */
     bool analysis_friendly = true;
     /** Local-extraction cost models, shared by every rule invocation
      *  (both are class-aware: extraction passes the e-graph itself, so
      *  one stateless instance serves any graph). */
     rover::AnalysisFriendlyCost friendly_cost;
     rover::RoverAreaCost area_cost;
+    /** The cost model local extraction reads, per analysis_friendly. */
+    const eg::CostModel &
+    localCost() const
+    {
+        if (analysis_friendly)
+            return friendly_cost;
+        return area_cost;
+    }
     /** Greedy memo of local extraction over the one e-graph these
      *  rules rewrite. optimize() drops it when exploration ends. */
     eg::GreedyMemo local_extraction;

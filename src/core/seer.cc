@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <initializer_list>
 #include <new>
 #include <optional>
 
@@ -290,7 +291,8 @@ class SaturatePhase
  * control skeleton under the latency cost (Eqn 3); phase 2 keeps that
  * skeleton and re-extracts every pure sub-expression under the ROVER
  * area cost (Eqn 4). Degrades to the original term when extraction
- * crashes or finds nothing.
+ * crashes, finds nothing, or a cost bound registered for it fails its
+ * coherence check.
  */
 class ExtractPhase
 {
@@ -304,7 +306,7 @@ class ExtractPhase
     /** Returns the term to emit (extracted, or the original on
      *  degrade). Throws only in strict mode. */
     TermPtr
-    run(const EGraph &egraph, EClassId root, const LatencyCost &latency,
+    run(EGraph &egraph, EClassId root, const LatencyCost &latency,
         const rover::RoverAreaCost &area_cost, const TermPtr &original)
     {
         // Extraction under governance: a canceled context skips the
@@ -343,7 +345,7 @@ class ExtractPhase
     /** Both phases, reporting into stats.extraction. Null when the
      *  latency phase finds no finite-cost implementation. */
     TermPtr
-    extract(const EGraph &egraph, EClassId root, const LatencyCost &latency,
+    extract(EGraph &egraph, EClassId root, const LatencyCost &latency,
             const rover::RoverAreaCost &area_cost)
     {
         std::vector<ExtractionPhaseStats> &phases = result_.stats.extraction;
@@ -358,6 +360,8 @@ class ExtractPhase
                                                        : "greedy";
 
         auto t0 = Clock::now();
+        if (!options_.naive_extract)
+            registerExtractionBounds(egraph, {&latency, &area_cost});
         eg::ExtractStats stats;
         control.ran = true;
         control.extractions = 1;
@@ -379,6 +383,31 @@ class ExtractPhase
             refine(egraph, extraction->term, area_cost, stats, datapath);
         foldStats(datapath, stats, t0);
         return term;
+    }
+
+    /**
+     * Register the cost bounds only extraction reads (saturation never
+     * pays for their upkeep) and check each new one against its
+     * from-scratch recomputation: the coherence check the phase-end
+     * gate runs on the bounds maintained through saturation, here run
+     * once. A model registered up front keeps its registration.
+     */
+    static void
+    registerExtractionBounds(EGraph &egraph,
+                             std::initializer_list<const eg::CostModel *>
+                                 models)
+    {
+        for (const eg::CostModel *model : models) {
+            if (egraph.findAnalysis("cost-bound:" + model->name()))
+                continue;
+            std::string diag =
+                eg::registerCostBound(egraph, *model).checkInvariants(
+                    egraph);
+            if (!diag.empty())
+                fatal("cost bound registered at extraction is "
+                      "incoherent: " +
+                      diag);
+        }
     }
 
     eg::ExtractOptions
@@ -626,23 +655,22 @@ class OptimizeDriver
     seedGraph()
     {
         // Phase cost models. Declared before the e-graph (they must
-        // outlive it: registered cost-bound analyses hold references)
-        // and registered below so per-class cost bounds are maintained
-        // incrementally through the whole exploration instead of being
-        // recomputed per extraction.
+        // outlive it: registered cost-bound analyses hold references).
         latency_.emplace(context_->registry);
         static const eg::TermSizeCost term_size;
 
         egraph_.emplace(rover::roverAnalysisHooks());
         egraph_->setExecContext(exec_);
         if (!options_.naive_extract) {
-            // Every cost model used anywhere in the run: the two
-            // extraction phases, analysis-friendly local extraction
-            // inside external rules, and the runner's record
-            // extraction (term-size).
-            eg::registerCostBound(*egraph_, *latency_);
-            eg::registerCostBound(*egraph_, context_->area_cost);
-            eg::registerCostBound(*egraph_, context_->friendly_cost);
+            // The cost models saturation reads, so their per-class
+            // bounds are maintained incrementally through exploration:
+            // local extraction inside external rules (analysis-friendly,
+            // or the area model when that is off) and the runner's
+            // record extraction (term-size). Every checkpoint drains
+            // them and every phase-end check recomputes them, so the
+            // models only extraction reads (latency, and area by
+            // default) are registered when extraction starts.
+            eg::registerCostBound(*egraph_, context_->localCost());
             eg::registerCostBound(*egraph_, term_size);
         }
         try {
@@ -781,6 +809,9 @@ class OptimizeDriver
         result_.registry = std::move(context_->registry);
         result_.stats.egraph_nodes = egraph_->numNodes();
         result_.stats.egraph_classes = egraph_->numClasses();
+        result_.stats.checkpoints = egraph_->numCheckpoints();
+        result_.stats.checkpoint_snapshots =
+            egraph_->numCheckpointSnapshots();
         // "Time in MLIR": wall-clock spent evaluating external passes
         // this run (batches block the main loop, so wall time is the
         // honest figure under -j; per-stage thread-seconds live in
@@ -880,6 +911,8 @@ toJson(const SeerStats &stats)
     out.set("egraph_nodes", stats.egraph_nodes);
     out.set("egraph_classes", stats.egraph_classes);
     out.set("unions_applied", stats.unions_applied);
+    out.set("checkpoints", stats.checkpoints);
+    out.set("checkpoint_snapshots", stats.checkpoint_snapshots);
     json::Value stops{json::Array{}};
     for (eg::StopReason stop : stats.stop_reasons)
         stops.push(json::Value{eg::stopReasonName(stop)});

@@ -200,6 +200,10 @@ struct SeerStats
     double time_in_egraph_seconds = 0; ///< "Time in egg"
     double total_seconds = 0;
     size_t unions_applied = 0;
+    /** E-graph checkpoints opened (phases and guarded applications),
+     *  and those whose undo arrays a write forced to be copied. */
+    uint64_t checkpoints = 0;
+    uint64_t checkpoint_snapshots = 0;
     /** Local extractions (Section 4.5) made by the external rules, and
      *  those the context's greedy memo answered from an earlier call
      *  on the unchanged e-graph. */

@@ -85,7 +85,7 @@ class Analysis
 
     /**
      * Called at the start of checkpoint(): bring lazily-maintained state
-     * to a fixpoint, so the snapshot (and the journal restore replayed
+     * to a fixpoint, so the checkpoint (and the journal restore replayed
      * against it) captures a quiescent analysis.
      */
     virtual void onCheckpoint(EGraph &egraph) { (void)egraph; }

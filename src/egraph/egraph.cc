@@ -92,8 +92,12 @@ EGraph::find(EClassId id)
     // halves the chain it walks, so repeated finds flatten union chains
     // and canonicalization stays near-constant as the graph grows.
     while (parents_[id] != id) {
-        parents_[id] = parents_[parents_[id]];
-        id = parents_[id];
+        EClassId grandparent = parents_[parents_[id]];
+        if (grandparent != parents_[id]) {
+            beforeOverwrite();
+            parents_[id] = grandparent;
+        }
+        id = grandparent;
     }
     return id;
 }
@@ -262,6 +266,7 @@ EGraph::merge(EClassId a, EClassId b, std::string reason)
     b = find(b);
     if (a == b)
         return false;
+    beforeOverwrite();
     // Record the union justification between the *claimed* ids (stable
     // across later merges); paths through these edges are explanations.
     if (proof_edges_.size() < parents_.size())
@@ -322,6 +327,8 @@ EGraph::merge(EClassId a, EClassId b, std::string reason)
 void
 EGraph::rebuild()
 {
+    if (!worklist_.empty() || !dirty_since_rebuild_.empty())
+        beforeOverwrite(); // both lists are drained below
     while (!worklist_.empty()) {
         std::vector<EClassId> todo;
         todo.swap(worklist_);
@@ -563,20 +570,40 @@ EGraph::journalMemoErase(const ENode &key, uint64_t hash)
 EGraph::Checkpoint
 EGraph::checkpoint()
 {
-    // Quiesce lazily-maintained analyses first so the snapshot (and the
-    // journal replayed against it) captures them with empty work queues:
-    // rollback restores data values, not pending recompute schedules.
+    // Quiesce lazily-maintained analyses first so the checkpoint (and
+    // the journal replayed against it) captures them with empty work
+    // queues: rollback restores data values, not pending recompute
+    // schedules.
     for (auto &analysis : analyses_)
         analysis->onCheckpoint(*this);
-    Checkpoint cp;
-    cp.token = ++checkpoint_serial_;
-    cp.journal_mark = journal_.size();
-    cp.proof_size = proof_edges_.size();
-    cp.parents = parents_;
-    cp.worklist = worklist_;
-    cp.dirty = dirty_since_rebuild_;
-    open_tokens_.push_back(cp.token);
-    return cp;
+    OpenCheckpoint &open = open_.emplace_back();
+    open.token = ++checkpoint_serial_;
+    open.journal_mark = journal_.size();
+    open.proof_size = proof_edges_.size();
+    open.num_ids = parents_.size();
+    open.worklist_size = worklist_.size();
+    open.dirty_size = dirty_since_rebuild_.size();
+    return Checkpoint{open.token};
+}
+
+void
+EGraph::snapshotOpenCheckpoints()
+{
+    // Nothing has overwritten the arrays since an uncopied checkpoint
+    // opened, only appended to them, so their prefixes up to the
+    // recorded sizes are still the state at open time. Copied
+    // checkpoints form a prefix of the stack: stop at the first one.
+    for (auto it = open_.rbegin(); it != open_.rend() && !it->snapshotted;
+         ++it) {
+        it->parents.assign(parents_.begin(),
+                           parents_.begin() + it->num_ids);
+        it->worklist.assign(worklist_.begin(),
+                            worklist_.begin() + it->worklist_size);
+        it->dirty.assign(dirty_since_rebuild_.begin(),
+                         dirty_since_rebuild_.begin() + it->dirty_size);
+        it->snapshotted = true;
+        ++checkpoint_snapshots_;
+    }
 }
 
 void
@@ -654,27 +681,34 @@ EGraph::undo(JournalEntry &entry)
 void
 EGraph::rollback(const Checkpoint &cp)
 {
-    SEER_ASSERT(!open_tokens_.empty() && open_tokens_.back() == cp.token,
+    SEER_ASSERT(!open_.empty() && open_.back().token == cp.token,
                 "e-graph rollback out of LIFO checkpoint order");
+    OpenCheckpoint &open = open_.back();
     // Undo in strict reverse order: each entry captured the exact prior
     // state at its mutation point, so by induction the graph passes
     // through every intermediate state back to the checkpoint.
-    while (journal_.size() > cp.journal_mark) {
+    while (journal_.size() > open.journal_mark) {
         undo(journal_.back());
         journal_.pop_back();
     }
-    parents_ = cp.parents;
+    if (open.snapshotted) {
+        parents_ = std::move(open.parents);
+        worklist_ = std::move(open.worklist);
+        dirty_since_rebuild_ = std::move(open.dirty);
+    } else {
+        parents_.resize(open.num_ids);
+        worklist_.resize(open.worklist_size);
+        dirty_since_rebuild_.resize(open.dirty_size);
+    }
     SEER_ASSERT(classes_.size() == parents_.size(),
                 "journal replay left class storage at "
                     << classes_.size() << " slots for "
                     << parents_.size() << " ids");
     modified_.resize(parents_.size());
-    worklist_ = cp.worklist;
-    dirty_since_rebuild_ = cp.dirty;
-    proof_edges_.resize(cp.proof_size);
+    proof_edges_.resize(open.proof_size);
     for (auto &analysis : analyses_)
         analysis->onRollback(*this, parents_.size());
-    open_tokens_.pop_back();
+    open_.pop_back();
     // Timestamps are monotonic and deliberately not journaled, so a
     // rollback can only be signalled out-of-band: bump the generation so
     // incremental matchers drop their caches and fully re-scan.
@@ -687,10 +721,10 @@ EGraph::rollback(const Checkpoint &cp)
 void
 EGraph::commit(const Checkpoint &cp)
 {
-    SEER_ASSERT(!open_tokens_.empty() && open_tokens_.back() == cp.token,
+    SEER_ASSERT(!open_.empty() && open_.back().token == cp.token,
                 "e-graph commit out of LIFO checkpoint order");
-    open_tokens_.pop_back();
-    if (open_tokens_.empty()) {
+    open_.pop_back();
+    if (open_.empty()) {
         journal_.clear();
         journal_.shrink_to_fit();
     }

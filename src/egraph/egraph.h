@@ -145,6 +145,11 @@ class EGraph
      *  their dense per-id tables with this. */
     size_t numIds() const { return parents_.size(); }
 
+    /** The raw union-find links, indexed by id: a merged-away id holds
+     *  whatever link path halving last left it (tests compare these
+     *  across checkpoints). */
+    const std::vector<EClassId> &unionFind() const { return parents_; }
+
     /**
      * Journal the current datum of (analysis, id) so rollback restores
      * it. Analyses must call this *before* overwriting the datum of a
@@ -244,19 +249,19 @@ class EGraph
      * Transactional snapshot token for phase rollback. While at least
      * one checkpoint is open, every structural mutation (hashcons
      * insert/update, class creation, merge, repair rewrite, analysis
-     * constant) is recorded in an undo journal; the flat union-find
-     * array and the pending worklist are snapshotted wholesale (they
-     * are small and mutate too often to journal profitably, e.g. on
-     * every path-halving find). Treat the contents as opaque.
+     * constant) is recorded in an undo journal. The flat union-find
+     * array, the pending worklist and the dirty list are not journaled:
+     * opening a checkpoint records only their sizes, and they are
+     * copied at the first write that overwrites an entry (a merge, a
+     * rebuild with work to do, or a path-halving find that changes a
+     * link). Appends (add()) leave the recorded prefix intact, so a
+     * checkpoint resolved before any such write costs no copy; its
+     * rollback truncates the arrays back to the recorded sizes. The
+     * undo state lives in the e-graph; the token only names it.
      */
     struct Checkpoint
     {
         uint64_t token = 0;
-        size_t journal_mark = 0;
-        size_t proof_size = 0;
-        std::vector<EClassId> parents;
-        std::vector<EClassId> worklist;
-        std::vector<EClassId> dirty;
     };
 
     /** Open a checkpoint. Checkpoints nest with strict LIFO discipline:
@@ -266,9 +271,10 @@ class EGraph
 
     /**
      * Restore the e-graph to the exact state it had when `cp` was
-     * opened: the journal is undone in reverse, then the union-find /
-     * worklist snapshots are reinstated and the proof graph truncated.
-     * Ids created after the checkpoint become invalid again.
+     * opened: the journal is undone in reverse, then the union-find,
+     * worklist and dirty list are reinstated (from their copies, or by
+     * truncation when nothing overwrote them) and the proof graph
+     * truncated. Ids created after the checkpoint become invalid again.
      */
     void rollback(const Checkpoint &cp);
 
@@ -277,7 +283,14 @@ class EGraph
     void commit(const Checkpoint &cp);
 
     /** Number of open (unresolved) checkpoints. */
-    size_t numOpenCheckpoints() const { return open_tokens_.size(); }
+    size_t numOpenCheckpoints() const { return open_.size(); }
+
+    /** Checkpoints ever opened on this graph. */
+    uint64_t numCheckpoints() const { return checkpoint_serial_; }
+
+    /** Checkpoints whose union-find, worklist and dirty list had to be
+     *  copied because a write overwrote them while they were open. */
+    uint64_t numCheckpointSnapshots() const { return checkpoint_snapshots_; }
 
     /**
      * Self-check of the core invariants (canonical class keys, hashcons
@@ -328,7 +341,32 @@ class EGraph
         NodeList saved_nodes;
     };
 
-    bool journaling() const { return !open_tokens_.empty(); }
+    /** Undo state of one open checkpoint (see Checkpoint). */
+    struct OpenCheckpoint
+    {
+        uint64_t token = 0;
+        size_t journal_mark = 0;
+        size_t proof_size = 0;
+        size_t num_ids = 0;
+        size_t worklist_size = 0;
+        size_t dirty_size = 0;
+        /** The three arrays below hold the state at open time. */
+        bool snapshotted = false;
+        std::vector<EClassId> parents;
+        std::vector<EClassId> worklist;
+        std::vector<EClassId> dirty;
+    };
+
+    bool journaling() const { return !open_.empty(); }
+    /** Call before overwriting an entry of parents_, worklist_ or
+     *  dirty_since_rebuild_: copies them for every open checkpoint that
+     *  has not been copied yet. */
+    void beforeOverwrite()
+    {
+        if (!open_.empty() && !open_.back().snapshotted)
+            snapshotOpenCheckpoints();
+    }
+    void snapshotOpenCheckpoints();
     void undo(JournalEntry &entry);
     void journalMemoSet(const ENode &key, uint64_t hash);
     void journalMemoErase(const ENode &key, uint64_t hash);
@@ -344,8 +382,11 @@ class EGraph
     /** Mutable so lazily-maintained analyses can journal datum
      *  overwrites from const read paths (see journalAnalysisDatum). */
     mutable std::vector<JournalEntry> journal_;
-    std::vector<uint64_t> open_tokens_;
+    /** Open checkpoints, innermost last. The copied ones always form a
+     *  prefix: a write copies every open checkpoint not yet copied. */
+    std::vector<OpenCheckpoint> open_;
     uint64_t checkpoint_serial_ = 0;
+    uint64_t checkpoint_snapshots_ = 0;
     std::vector<EClassId> parents_; // union-find
     /**
      * Modification stamps, indexed by class id in lockstep with

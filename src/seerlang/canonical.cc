@@ -75,7 +75,9 @@ hashRec(const TermPtr &term, Env &env, uint64_t &binder_count)
         // Free variable: semantic payload, hash by name.
     }
 
-    hash = hashString(op.str(), hash);
+    // hash is still kHashSeed here, so the interned text hash equals
+    // hashString(op.str(), hash): persisted cache keys do not move.
+    hash = op.textHash();
     hash = hashValue(term->arity(), hash);
     for (const TermPtr &child : term->children())
         hash = hashCombine(hash, hashRec(child, env, binder_count));

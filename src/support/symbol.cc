@@ -7,6 +7,8 @@
 #include <shared_mutex>
 #include <unordered_map>
 
+#include "support/hashing.h"
+
 namespace seer {
 namespace {
 
@@ -17,12 +19,13 @@ namespace {
  * intern and stringify symbols on every term they touch — a plainly
  * mutex-guarded table serializes the whole pool:
  *
- *  - str() and fields() are lock-free: texts live in fixed-size blocks
- *    and the views of their ':'-separated fields (split once, under the
- *    exclusive lock that inserts the text) in arena chunks, neither of
- *    which moves once allocated; and a thread holding a valid Symbol id
- *    received it through some synchronizing handoff (a task launch, a
- *    cache mutex), which also publishes the entry it names.
+ *  - str(), fields() and textHash() are lock-free: texts and their
+ *    hashes live in fixed-size blocks and the views of their
+ *    ':'-separated fields in arena chunks, all computed once, under the
+ *    exclusive lock that inserts the text, and none of which moves once
+ *    allocated; and a thread holding a valid Symbol id received it
+ *    through some synchronizing handoff (a task launch, a cache mutex),
+ *    which also publishes the entry it names.
  *  - intern() of an existing string takes only a shared (reader) lock;
  *    the exclusive lock is reserved for first-time insertions.
  *  - on top of that, each thread memoizes its intern results, so the
@@ -38,11 +41,13 @@ struct InternTable
     /** Field views per arena chunk. */
     static constexpr size_t kArenaChunk = 4096;
 
-    /** One interned symbol: its text and the views of its fields. */
+    /** One interned symbol: its text, the views of its fields and the
+     *  hash of its text. */
     struct Entry
     {
         std::string text;
         std::span<const std::string_view> fields; // into text
+        uint64_t hash = 0;
     };
 
     std::shared_mutex mutex;
@@ -78,7 +83,7 @@ struct InternTable
             blocks[block].store(storage, std::memory_order_release);
         }
         Entry *slot = new (storage + (id & (kBlockSize - 1)))
-            Entry{std::string(text), {}};
+            Entry{std::string(text), {}, hashString(text)};
         slot->fields = split(slot->text);
         ids.emplace(slot->text, id);
         return id;
@@ -151,6 +156,12 @@ std::span<const std::string_view>
 Symbol::fields() const
 {
     return table().entry(id_).fields;
+}
+
+uint64_t
+Symbol::textHash() const
+{
+    return table().entry(id_).hash;
 }
 
 } // namespace seer

@@ -5,8 +5,9 @@
  * Symbols are the currency of the e-graph layer: every SeerLang operator
  * (including ones carrying encoded static attributes, e.g. "const:42:i32")
  * is an interned string, so comparison and hashing are O(1). The
- * ':'-separated fields of a symbol are split once, when its text is first
- * interned, so decoding a symbol never re-splits its text.
+ * ':'-separated fields of a symbol are split, and its text hashed, once,
+ * when the text is first interned, so decoding or content-hashing a
+ * symbol never re-reads its text.
  */
 #ifndef SEER_SUPPORT_SYMBOL_H_
 #define SEER_SUPPORT_SYMBOL_H_
@@ -42,6 +43,10 @@ class Symbol
      * the lifetime of the process.
      */
     std::span<const std::string_view> fields() const;
+
+    /** hashString(str()) (support/hashing.h), computed once at intern
+     *  time. Lock-free, like str(). */
+    uint64_t textHash() const;
 
     uint32_t id() const { return id_; }
     bool empty() const { return id_ == 0; }

@@ -23,6 +23,7 @@
 #include "ir/printer.h"
 #include "seerlang/canonical.h"
 #include "seerlang/encoding.h"
+#include "support/hashing.h"
 #include "support/worker_pool.h"
 
 namespace seer::core {
@@ -91,9 +92,11 @@ TEST(CanonicalHashTest, ShadowingResolvesInnermost)
 TEST(CanonicalHashTest, PinnedValuesNeverChange)
 {
     // --pass-cache files persist these hashes: a change to how symbols
-    // are decoded must not move them. The literals were recorded before
-    // field splitting moved into the interner; they pin a bound loop
-    // iv, a free var, int and float literals, and a tagged store.
+    // are decoded or hashed must not move them. The first four literals
+    // were recorded before field splitting moved into the interner, the
+    // last two before the interner hashed symbol texts; they pin a bound
+    // loop iv, a free var, int and float literals, a tagged store,
+    // nested and shadowing binders, and a binder-free expression.
     struct Pin
     {
         const char *term;
@@ -110,6 +113,15 @@ TEST(CanonicalHashTest, PinnedValuesNeverChange)
         {"(memref.store:t5 const:1:i32 arg:A:memref<4xi32>"
          " const:2:index)",
          0xfa301483b35ccc76ULL},
+        {"(affine.for:i:L1 const:0:index const:8:index const:1:index"
+         " (affine.for:j:L2 const:0:index var:i const:1:index"
+         " (affine.for:i:L3 var:j const:4:index const:1:index"
+         " (memref.store:t3 (arith.addi:i32 var:i var:j)"
+         " arg:A:memref<8x8xi32> var:i var:j))))",
+         0x89592f84feae12c7ULL},
+        {"(arith.addi:i32 (arith.muli:i32 var:x const:3:i32)"
+         " (arith.shli:i32 var:y const:2:i32))",
+         0x373f99f69edd6008ULL},
     };
     for (const Pin &pin : pins) {
         EXPECT_EQ(sl::canonicalTermHash(eg::parseTerm(pin.term)),
@@ -715,6 +727,37 @@ TEST(InternerTest, ConcurrentInternAndStrAgree)
     });
     for (size_t i = 0; i < ids.size(); ++i)
         EXPECT_EQ(ids[i], ids[i % kNames]);
+}
+
+TEST(InternerTest, TextHashIsHashOfText)
+{
+    std::string long_const = "const:" + std::string(300, '9') + ":i64";
+    for (const std::string &text :
+         {std::string(), std::string("affine.for:i:L3"), long_const}) {
+        Symbol symbol(text);
+        EXPECT_EQ(symbol.textHash(), hashString(symbol.str())) << text;
+    }
+    EXPECT_EQ(Symbol().textHash(), kHashSeed);
+}
+
+TEST(InternerTest, ConcurrentTextHashDuringFirstInserts)
+{
+    // 8 workers read the text hash of symbols interned before they
+    // started while others insert fresh texts for the first time: the
+    // hash, stored under the inserting lock, must read back whole.
+    constexpr size_t kOld = 256;
+    constexpr size_t kFresh = 1024;
+    std::vector<Symbol> old_symbols;
+    for (size_t i = 0; i < kOld; ++i)
+        old_symbols.emplace_back("hash-stress-old-" + std::to_string(i));
+    parallelFor(kFresh * 4, 8, [&](size_t i) {
+        const Symbol &old = old_symbols[i % kOld];
+        EXPECT_EQ(old.textHash(), hashString(old.str()));
+        std::string text =
+            "hash-stress-fresh:" + std::to_string(i % kFresh);
+        Symbol fresh(text);
+        EXPECT_EQ(fresh.textHash(), hashString(text));
+    });
 }
 
 /** Plain "a:b:c" splitter, kept apart from the interner's own. */

@@ -1,8 +1,11 @@
 /** End-to-end SEER tests: optimization quality + translation validity. */
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/seer.h"
 #include "core/verify.h"
+#include "egraph/rewrite.h"
 #include "hls/hls.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
@@ -223,6 +226,75 @@ TEST(SeerTest, OptimizeCallsShareNoLocalExtractionMemo)
     EXPECT_EQ(second.stats.local_extraction_hits,
               first.stats.local_extraction_hits);
     EXPECT_EQ(toString(second.module), toString(first.module));
+}
+
+/** Which cost-bound analyses a probe rule saw registered while the
+ *  control phases ran. */
+struct BoundsSeen
+{
+    size_t calls = 0;
+    size_t latency = 0, area = 0, friendly = 0, term_size = 0;
+};
+
+SeerResult
+optimizeWithBoundsProbe(const std::string &text, const std::string &func,
+                        SeerOptions options,
+                        const std::shared_ptr<BoundsSeen> &seen)
+{
+    options.extra_control_rules.push_back(eg::makeDynRewrite(
+        "bounds-probe", "?x",
+        [seen](eg::EGraph &egraph,
+               const eg::Match &) -> std::optional<eg::TermPtr> {
+            auto has = [&](const char *model) -> size_t {
+                return egraph.findAnalysis(std::string("cost-bound:") +
+                                           model) != nullptr;
+            };
+            ++seen->calls;
+            seen->latency += has("latency");
+            seen->area += has("rover-area");
+            seen->friendly += has("analysis-friendly");
+            seen->term_size += has("term-size");
+            return std::nullopt;
+        }));
+    return optimize(parseModule(text), func, options);
+}
+
+/** Saturation maintains only the bounds it reads (local extraction,
+ *  proof records); latency and area are registered when extraction
+ *  starts, and both extraction phases still read maintained bounds. */
+TEST(SeerTest, ExtractionOnlyBoundsAreRegisteredAtExtraction)
+{
+    auto seen = std::make_shared<BoundsSeen>();
+    SeerResult result =
+        optimizeWithBoundsProbe(kSeqLoops, "seq_loops", {}, seen);
+    ASSERT_GT(seen->calls, 0u);
+    EXPECT_EQ(seen->latency, 0u);
+    EXPECT_EQ(seen->area, 0u);
+    EXPECT_EQ(seen->friendly, seen->calls);
+    EXPECT_EQ(seen->term_size, seen->calls);
+    EXPECT_FALSE(result.stats.degraded);
+    ASSERT_EQ(result.stats.extraction.size(), 2u);
+    for (const ExtractionPhaseStats &phase : result.stats.extraction) {
+        EXPECT_TRUE(phase.ran) << phase.name;
+        EXPECT_TRUE(phase.used_analysis) << phase.name;
+    }
+    EXPECT_GT(result.stats.checkpoints, 0u);
+    EXPECT_LE(result.stats.checkpoint_snapshots * 100,
+              result.stats.checkpoints);
+
+    // Without the analysis-friendly model, local extraction reads the
+    // area model during saturation, so it is maintained from the start.
+    SeerOptions ablation;
+    ablation.analysis_friendly_extraction = false;
+    seen = std::make_shared<BoundsSeen>();
+    result = optimizeWithBoundsProbe(kSeqLoops, "seq_loops", ablation,
+                                     seen);
+    ASSERT_GT(seen->calls, 0u);
+    EXPECT_EQ(seen->latency, 0u);
+    EXPECT_EQ(seen->area, seen->calls);
+    EXPECT_EQ(seen->friendly, 0u);
+    for (const ExtractionPhaseStats &phase : result.stats.extraction)
+        EXPECT_TRUE(phase.used_analysis) << phase.name;
 }
 
 TEST(SeerTest, RegistryCoversExtractedLoops)

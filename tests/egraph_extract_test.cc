@@ -272,6 +272,58 @@ TEST(ExtractDifferentialTest, RunnerQuarantineAndRollbackKeepBitIdentity)
     ASSERT_EQ(eg.debugCheckInvariants(), "");
 }
 
+/** ToyCost under another name, so a second analysis over the same
+ *  costs can be registered late next to one maintained from the start. */
+class LateToyCost : public ToyCost
+{
+  public:
+    std::string name() const override { return "toy-late"; }
+};
+
+/** A cost bound registered after saturation, merges into cycles and a
+ *  rolled-back phase (how optimize() registers the latency and area
+ *  bounds at extraction) equals the from-scratch bounds bitwise, and
+ *  equals a bound maintained through that whole history. */
+TEST(CostBoundAnalysisTest, LateRegistrationMatchesScratchAndMaintained)
+{
+    static const LateToyCost kLate;
+    for (uint32_t seed = 1; seed <= 40; ++seed) {
+        std::mt19937 rng(seed);
+        EGraph eg;
+        CostBoundAnalysis &early = registerCostBound(eg, kToy);
+        std::vector<EClassId> ids = seedLeaves(eg);
+        mutate(eg, ids, rng, 40);
+        // Cycles: a class merged with its own parents' classes.
+        for (int i = 0; i < 3; ++i) {
+            EClassId child = ids[rng() % ids.size()];
+            EClassId g = eg.add(ENode{Symbol("g"), {child}});
+            EClassId f = eg.add(ENode{Symbol("f"), {g, child}});
+            eg.merge(f, child, "cycle");
+            ids.push_back(g);
+            ids.push_back(f);
+        }
+        eg.rebuild();
+        size_t mark = ids.size();
+        EGraph::Checkpoint phase = eg.checkpoint();
+        mutate(eg, ids, rng, 20);
+        eg.rollback(phase);
+        ids.resize(mark);
+
+        ASSERT_EQ(eg.findAnalysis("cost-bound:toy-late"), nullptr);
+        CostBoundAnalysis &late = registerCostBound(eg, kLate);
+        ASSERT_EQ(late.checkInvariants(eg), "") << "seed " << seed;
+        early.ensureCurrent(eg);
+        for (EClassId id : eg.classIds()) {
+            EXPECT_EQ(late.value(id).cost, early.value(id).cost)
+                << "seed " << seed << " class " << id;
+            EXPECT_EQ(late.value(id).size, early.value(id).size)
+                << "seed " << seed << " class " << id;
+        }
+        expectSameExtraction(eg, ids[rng() % ids.size()], kLate, "late");
+        ASSERT_EQ(eg.debugCheckInvariants(), "") << "seed " << seed;
+    }
+}
+
 /** The random graphs of the exact-extraction tests: 20 mutation steps
  *  from the leaf seeds, rooted at a random id. */
 EClassId
