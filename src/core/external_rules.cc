@@ -70,7 +70,9 @@ classHas(const EGraph &egraph, EClassId id, SymbolPred pred)
  * external pass is handed polyhedral-analyzable index expressions.
  * Children go through the context's greedy memo: the prepare hook and
  * the applier extract the same classes, and many matches share
- * children, on an e-graph that has not changed in between.
+ * children, on an e-graph that has not changed in between. The root is
+ * interned there too, so an unchanged candidate keeps its pointer (and
+ * its key-memo entry) across e-graph changes.
  * Returns up to `max_candidates` candidate terms (a class may hold both
  * the original loop and, say, its unrolled chain; the pass may apply to
  * either representative).
@@ -102,7 +104,8 @@ extractAllRooted(const EGraph &egraph, EClassId id, SymbolPred pred,
             children.push_back(std::move(term));
         }
         if (feasible)
-            out.push_back(eg::makeTerm(node.op, std::move(children)));
+            out.push_back(
+                ctx->local_extraction.intern(node.op, std::move(children)));
     }
     return out;
 }
@@ -124,16 +127,16 @@ constexpr uint64_t kPassCacheKeyVersion = 1;
 
 /** Evaluation-relevant context configuration, hashed into every key. */
 uint64_t
-configFingerprint(const ContextPtr &ctx)
+configFingerprint(const ExternalRuleContext &ctx)
 {
     uint64_t h = hashValue(kPassCacheKeyVersion);
     // The validation gate always runs; the constant stands where an
     // on/off flag was once hashed, so persisted keys stay valid.
     h = hashValue(uint64_t{1}, h);
-    h = hashValue(static_cast<uint64_t>(ctx->eval.validation_runs), h);
-    h = hashValue(ctx->eval.validation_seed, h);
-    h = hashValue(static_cast<uint64_t>(ctx->unroll_max_trip), h);
-    const double &clock_period = ctx->eval.hls.schedule.clock_period_ns;
+    h = hashValue(static_cast<uint64_t>(ctx.eval.validation_runs), h);
+    h = hashValue(ctx.eval.validation_seed, h);
+    h = hashValue(static_cast<uint64_t>(ctx.unroll_max_trip), h);
+    const double &clock_period = ctx.eval.hls.schedule.clock_period_ns;
     uint64_t clock_bits = 0;
     static_assert(sizeof clock_bits == sizeof clock_period);
     std::memcpy(&clock_bits, &clock_period, sizeof clock_bits);
@@ -141,21 +144,23 @@ configFingerprint(const ContextPtr &ctx)
     return h;
 }
 
-/**
- * Content-addressed key of one (snippet, rule, config) evaluation. The
- * snippet hashes alpha-canonically (bound loop names/ids abstracted,
- * memory tags kept — they are program-order payload), so renamed but
- * structurally identical candidates share an outcome. Schedule
- * overrides are keyed by concrete loop ids, so any override that names
- * a loop of this snippet is folded in.
- */
+PassKeyProbe &
+passKeyProbe()
+{
+    static PassKeyProbe probe;
+    return probe;
+}
+
+} // namespace
+
 uint64_t
-passKeyFor(const ContextPtr &ctx, const char *rule, const TermPtr &term)
+passKeyFor(const ExternalRuleContext &ctx, const char *rule,
+           const TermPtr &term)
 {
     uint64_t h = sl::canonicalTermHash(term);
     h = hashCombine(h, hashString(rule));
     h = hashCombine(h, configFingerprint(ctx));
-    const auto &overrides = ctx->eval.hls.schedule.overrides;
+    const auto &overrides = ctx.eval.hls.schedule.overrides;
     if (!overrides.empty()) {
         std::vector<std::string> ids;
         collectLoopIds(term, ids);
@@ -177,27 +182,80 @@ passKeyFor(const ContextPtr &ctx, const char *rule, const TermPtr &term)
     return h;
 }
 
+void
+setPassKeyProbe(PassKeyProbe probe)
+{
+    passKeyProbe() = std::move(probe);
+}
+
+namespace {
+
+// --- spec-driven rule construction ---------------------------------------
+
+/**
+ * One external rule, split along the serial/parallel seam:
+ * `precheck` + `extract` run serially (they read the e-graph);
+ * `transform` runs in the pure evaluation stage (worker pool or
+ * inline). The same spec builds both the dyn applier and the prepare
+ * hook, so the two stages can never disagree about candidates.
+ */
+struct SnippetRuleSpec
+{
+    const char *name;
+    /** Dense rule index, assigned by controlRules: the rule's identity
+     *  in the attempt memo and the key memo. */
+    uint32_t index = 0;
+    const char *pattern;
+    std::function<bool(const EGraph &, const Match &)> precheck;
+    std::function<std::vector<TermPtr>(const EGraph &, const Match &)>
+        extract;
+    std::function<bool(ir::Operation &)> transform;
+    const char *law = nullptr;
+};
+
+/** Key and proposal size of `term` under `rule`, from the key memo. */
+const ExternalRuleContext::CandidateInfo &
+candidateInfo(ExternalRuleContext &ctx, const SnippetRuleSpec &rule,
+              const TermPtr &term)
+{
+    auto [it, fresh] = ctx.candidate_keys.try_emplace({rule.index, term});
+    if (fresh) {
+        ++ctx.pass_key_hashes;
+        it->second.key = passKeyFor(ctx, rule.name, term);
+        it->second.term_size = proposalTermSize(term);
+    }
+    if (const PassKeyProbe &probe = passKeyProbe())
+        probe(ctx, rule.name, term, it->second.key);
+    return it->second;
+}
+
 // --- attempt memo and iteration boundary ---------------------------------
+
+uint64_t
+attemptKey(uint32_t rule, EClassId canon)
+{
+    return (uint64_t{rule} << 32) | canon;
+}
 
 /** Has `rule` been attempted on `root` since the class last grew? Does
  *  not record: the prepare stage must not make the apply-time check
  *  skip itself. */
 bool
 attemptedPeek(const ExternalRuleContext &ctx, const EGraph &egraph,
-              const char *rule, EClassId root)
+              uint32_t rule, EClassId root)
 {
     EClassId canon = egraph.find(root);
-    auto it = ctx.attempted.find(std::make_pair(std::string(rule), canon));
+    auto it = ctx.attempted.find(attemptKey(rule, canon));
     return it != ctx.attempted.end() &&
            it->second == egraph.eclass(canon).nodes.size();
 }
 
 void
 recordAttempt(ExternalRuleContext &ctx, const EGraph &egraph,
-              const char *rule, EClassId root)
+              uint32_t rule, EClassId root)
 {
     EClassId canon = egraph.find(root);
-    ctx.attempted.insert_or_assign(std::make_pair(std::string(rule), canon),
+    ctx.attempted.insert_or_assign(attemptKey(rule, canon),
                                    egraph.eclass(canon).nodes.size());
 }
 
@@ -225,17 +283,16 @@ syncIteration(ExternalRuleContext &ctx, const EGraph &egraph)
  * and apply its effects — rejection accounting and loop-registry
  * maintenance happen *here*, at consult time, so they are identical
  * whether the outcome came from the worker pool, the cache, a disk
- * load, or a cold inline evaluation. `law` selects the paper's
- * approximation law ("fuse") or nullptr for the schedule oracle.
+ * load, or a cold inline evaluation. The rule's `law` selects the
+ * paper's approximation law ("fuse") or nullptr for the schedule
+ * oracle.
  * Consults run on the runner thread in canonical union order, so the
  * scheduler's observe() history replays identically under any
  * worker-pool width.
  */
 std::optional<TermPtr>
-consultSnippet(const ContextPtr &ctx, const char *rule,
-               const TermPtr &term,
-               const std::function<bool(ir::Operation &)> &transform,
-               const char *law)
+consultSnippet(const ContextPtr &ctx, const SnippetRuleSpec &rule,
+               const TermPtr &term)
 {
     // Cancellation propagation: once the driver's whole-run budget
     // (deadline, memory, signal) is spent, stop launching snippet/pass
@@ -243,7 +300,9 @@ consultSnippet(const ContextPtr &ctx, const char *rule,
     if (ctx->eval.exec.canceled())
         return std::nullopt;
 
-    uint64_t key = passKeyFor(ctx, rule, term);
+    const ExternalRuleContext::CandidateInfo &info =
+        candidateInfo(*ctx, rule, term);
+    uint64_t key = info.key;
     ExternalEvalCache &cache = *ctx->eval_cache;
     std::optional<PassOutcome> outcome = cache.lookupPass(key);
     bool from_cache = outcome.has_value();
@@ -256,7 +315,8 @@ consultSnippet(const ContextPtr &ctx, const char *rule,
         cache.countMiss();
         inline_eval = true;
         auto t0 = Clock::now();
-        outcome = evaluateSnippet(term, key, transform, ctx->eval, cache);
+        outcome = evaluateSnippet(term, key, rule.transform, ctx->eval,
+                                  cache);
         ctx->mlir_seconds +=
             std::chrono::duration<double>(Clock::now() - t0).count();
         if (outcome)
@@ -267,10 +327,10 @@ consultSnippet(const ContextPtr &ctx, const char *rule,
 
     {
         ProposalCandidate candidate;
-        candidate.rule = rule;
+        candidate.rule = rule.name;
         candidate.key = key;
         candidate.term = term;
-        candidate.term_size = proposalTermSize(term);
+        candidate.term_size = info.term_size;
         ProposalOutcome fed;
         fed.status = outcome->status;
         fed.from_cache = from_cache;
@@ -309,7 +369,7 @@ consultSnippet(const ContextPtr &ctx, const char *rule,
             new_ids.push_back(id);
     }
     bool law_applied = false;
-    if (ctx->use_laws && law && std::string(law) == "fuse" &&
+    if (ctx->use_laws && rule.law && std::string(rule.law) == "fuse" &&
         input_ids.size() == 2 && output_ids.size() == 1 &&
         new_ids.size() == 1 && ctx->registry.count(input_ids[0]) &&
         ctx->registry.count(input_ids[1])) {
@@ -318,33 +378,13 @@ consultSnippet(const ContextPtr &ctx, const char *rule,
                     ctx->registry.at(input_ids[1]));
         law_applied = true;
     }
-    if (!law_applied && (!new_ids.empty() || law == nullptr)) {
+    if (!law_applied && (!new_ids.empty() || rule.law == nullptr)) {
         // Oracle: adopt the schedule computed in the pure stage.
         for (const auto &[id, entry] : outcome->schedule)
             ctx->registry[id] = entry;
     }
     return outcome->replacement;
 }
-
-// --- spec-driven rule construction ---------------------------------------
-
-/**
- * One external rule, split along the serial/parallel seam:
- * `precheck` + `extract` run serially (they read the e-graph);
- * `transform` runs in the pure evaluation stage (worker pool or
- * inline). The same spec builds both the dyn applier and the prepare
- * hook, so the two stages can never disagree about candidates.
- */
-struct SnippetRuleSpec
-{
-    const char *name;
-    const char *pattern;
-    std::function<bool(const EGraph &, const Match &)> precheck;
-    std::function<std::vector<TermPtr>(const EGraph &, const Match &)>
-        extract;
-    std::function<bool(ir::Operation &)> transform;
-    const char *law = nullptr;
-};
 
 Rewrite
 makeSnippetRule(ContextPtr ctx, SnippetRuleSpec spec)
@@ -355,7 +395,7 @@ makeSnippetRule(ContextPtr ctx, SnippetRuleSpec spec)
                     const Match &match) -> std::optional<TermPtr> {
             if (!spec.precheck(egraph, match))
                 return std::nullopt;
-            if (attemptedPeek(*ctx, egraph, spec.name, match.root))
+            if (attemptedPeek(*ctx, egraph, spec.index, match.root))
                 return std::nullopt;
             std::vector<TermPtr> terms = spec.extract(egraph, match);
             // Budget gate: a match whose candidate was deferred by the
@@ -365,14 +405,13 @@ makeSnippetRule(ContextPtr ctx, SnippetRuleSpec spec)
             if (ctx->scheduler->mayDefer()) {
                 for (const TermPtr &term : terms) {
                     if (ctx->scheduler->deferred(
-                            passKeyFor(ctx, spec.name, term)))
+                            candidateInfo(*ctx, spec, term).key))
                         return std::nullopt;
                 }
             }
-            recordAttempt(*ctx, egraph, spec.name, match.root);
+            recordAttempt(*ctx, egraph, spec.index, match.root);
             for (const TermPtr &term : terms) {
-                auto result = consultSnippet(ctx, spec.name, term,
-                                             spec.transform, spec.law);
+                auto result = consultSnippet(ctx, spec, term);
                 if (result)
                     return result;
             }
@@ -392,10 +431,12 @@ makeSnippetRule(ContextPtr ctx, SnippetRuleSpec spec)
         for (const Match &match : matches) {
             if (!spec.precheck(egraph, match))
                 continue;
-            if (attemptedPeek(*ctx, egraph, spec.name, match.root))
+            if (attemptedPeek(*ctx, egraph, spec.index, match.root))
                 continue;
             for (const TermPtr &term : spec.extract(egraph, match)) {
-                uint64_t key = passKeyFor(ctx, spec.name, term);
+                const ExternalRuleContext::CandidateInfo &info =
+                    candidateInfo(*ctx, spec, term);
+                uint64_t key = info.key;
                 if (!seen.insert(key).second) {
                     cache.countDeduped(1);
                     continue;
@@ -405,7 +446,7 @@ makeSnippetRule(ContextPtr ctx, SnippetRuleSpec spec)
                     candidate.rule = spec.name;
                     candidate.key = key;
                     candidate.term = term;
-                    candidate.term_size = proposalTermSize(term);
+                    candidate.term_size = info.term_size;
                     wave.push_back(std::move(candidate));
                 }
             }
@@ -479,6 +520,11 @@ std::vector<Rewrite>
 controlRules(ContextPtr context)
 {
     std::vector<Rewrite> rules;
+    // A snippet rule's dense index is its position in this list.
+    auto add_snippet_rule = [&](SnippetRuleSpec spec) {
+        spec.index = static_cast<uint32_t>(rules.size());
+        rules.push_back(makeSnippetRule(context, std::move(spec)));
+    };
     Symbol var_a("a"), var_b("b");
 
     // --- loop fusion over adjacent statements --------------------------
@@ -499,7 +545,8 @@ controlRules(ContextPtr context)
             auto tb = extractRooted(egraph, match.subst.at(var_b),
                                     isForNode, context);
             if (ta && tb)
-                out.push_back(eg::makeTerm(sl::seqSymbol(), {*ta, *tb}));
+                out.push_back(context->local_extraction.intern(
+                    sl::seqSymbol(), {*ta, *tb}));
             return out;
         };
         spec.transform = [](ir::Operation &func) {
@@ -509,7 +556,7 @@ controlRules(ContextPtr context)
             return passes::fuseLoopPair(*loops[0], *loops[1]);
         };
         spec.law = "fuse";
-        rules.push_back(makeSnippetRule(context, spec));
+        add_snippet_rule(std::move(spec));
     }
 
     // --- single-class loop rules ------------------------------------
@@ -532,7 +579,7 @@ controlRules(ContextPtr context)
             return out;
         };
         spec.transform = std::move(transform);
-        rules.push_back(makeSnippetRule(context, spec));
+        add_snippet_rule(std::move(spec));
     };
 
     if (context->unroll_max_trip > 0) {
@@ -642,7 +689,7 @@ controlRules(ContextPtr context)
             return out;
         };
         spec.transform = std::move(transform);
-        rules.push_back(makeSnippetRule(context, spec));
+        add_snippet_rule(std::move(spec));
     };
     add_if_rule("if-conversion", [](ir::Operation &func) {
         ir::Operation *if_op = firstIf(func);
@@ -671,7 +718,8 @@ controlRules(ContextPtr context)
             auto tb = extractRooted(egraph, match.subst.at(var_b),
                                     isIfNode, context);
             if (ta && tb)
-                out.push_back(eg::makeTerm(sl::seqSymbol(), {*ta, *tb}));
+                out.push_back(context->local_extraction.intern(
+                    sl::seqSymbol(), {*ta, *tb}));
             return out;
         };
         spec.transform = [](ir::Operation &func) {
@@ -687,7 +735,7 @@ controlRules(ContextPtr context)
                 return false;
             return passes::correlateIfs(*ifs[0], *ifs[1]);
         };
-        rules.push_back(makeSnippetRule(context, spec));
+        add_snippet_rule(std::move(spec));
     }
 
     // --- memory forwarding over statement chains ------------------------
@@ -706,7 +754,7 @@ controlRules(ContextPtr context)
         spec.transform = [](ir::Operation &func) {
             return passes::forwardMemory(func);
         };
-        rules.push_back(makeSnippetRule(context, spec));
+        add_snippet_rule(std::move(spec));
     }
 
     return rules;

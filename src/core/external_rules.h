@@ -15,9 +15,10 @@
 #define SEER_CORE_EXTERNAL_RULES_H_
 
 #include <chrono>
-#include <map>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 
 #include "core/cost.h"
 #include "core/pass_eval.h"
@@ -58,8 +59,51 @@ struct ExternalRuleContext
         return area_cost;
     }
     /** Greedy memo of local extraction over the one e-graph these
-     *  rules rewrite. optimize() drops it when exploration ends. */
+     *  rules rewrite. Its terms, and the candidate roots the rules
+     *  build on them, are interned: a candidate whose structure
+     *  survives an e-graph change comes back as the same pointer.
+     *  optimize() drops it when exploration ends. */
     eg::GreedyMemo local_extraction;
+
+    /** What a rule needs of one candidate term, computed once per run:
+     *  its pass-cache key and its proposal size (proposalTermSize). */
+    struct CandidateInfo
+    {
+        uint64_t key = 0;
+        size_t term_size = 0;
+    };
+    /** Key-memo key: a rule's index (its position in controlRules) and
+     *  an interned candidate. Holding the TermPtr keeps the address
+     *  from being recycled while it is a key. */
+    struct CandidateKey
+    {
+        uint32_t rule = 0;
+        eg::TermPtr term;
+        bool operator==(const CandidateKey &other) const
+        {
+            return rule == other.rule && term == other.term;
+        }
+    };
+    struct CandidateKeyHash
+    {
+        size_t operator()(const CandidateKey &key) const
+        {
+            return std::hash<const void *>()(key.term.get()) ^
+                   (size_t{key.rule} << 1);
+        }
+    };
+    /**
+     * Key memo: the prepare hook, the deferral check and the consult
+     * read every candidate's key and size here, so each (rule,
+     * candidate) is hashed once per run instead of once per e-graph
+     * state. Sound because terms are immutable and every key input
+     * other than the term (rule name, config, schedule overrides) is
+     * fixed for the run. optimize() clears it with local_extraction.
+     */
+    std::unordered_map<CandidateKey, CandidateInfo, CandidateKeyHash>
+        candidate_keys;
+    /** Pass keys computed so far (key-memo misses). */
+    size_t pass_key_hashes = 0;
 
     /**
      * Inputs of every snippet evaluation, filled once by the driver and
@@ -91,14 +135,15 @@ struct ExternalRuleContext
     std::unique_ptr<ProposalScheduler> scheduler =
         makeExhaustiveScheduler();
     /**
-     * Attempt memo: (rule, canonical class) -> class node count at
-     * attempt time, so re-matching the same class across runner
-     * iterations does not re-run the snippet/pass machinery. A class
-     * that absorbed new representatives since the last attempt is
-     * retried; stale (merged-away) ids cannot alias a surviving class
-     * (ids are not reused). Reset by beginPhase().
+     * Attempt memo: (rule index, canonical class), packed into one
+     * word, -> class node count at attempt time, so re-matching the
+     * same class across runner iterations does not re-run the
+     * snippet/pass machinery. A class that absorbed new
+     * representatives since the last attempt is retried; stale
+     * (merged-away) ids cannot alias a surviving class (ids are not
+     * reused). Reset by beginPhase().
      */
-    std::map<std::pair<std::string, uint32_t>, size_t> attempted;
+    std::unordered_map<uint64_t, size_t> attempted;
     /** E-graph tick at the last prepare hook: a change marks a runner
      *  iteration boundary. */
     uint64_t last_tick = ~uint64_t{0};
@@ -124,6 +169,28 @@ struct ExternalRuleContext
 };
 
 using ContextPtr = std::shared_ptr<ExternalRuleContext>;
+
+/**
+ * Content-addressed key of one (snippet, rule, config) evaluation. The
+ * snippet hashes alpha-canonically (bound loop names/ids abstracted,
+ * memory tags kept — they are program-order payload), so renamed but
+ * structurally identical candidates share an outcome. Schedule
+ * overrides are keyed by concrete loop ids, so any override that names
+ * a loop of this snippet is folded in. The rules read it through the
+ * context's key memo.
+ */
+uint64_t passKeyFor(const ExternalRuleContext &ctx, const char *rule,
+                    const eg::TermPtr &term);
+
+/** Test hook: sees every key the key memo serves, hit or miss, with
+ *  the rule and candidate it was served for. */
+using PassKeyProbe =
+    std::function<void(const ExternalRuleContext &ctx, const char *rule,
+                       const eg::TermPtr &term, uint64_t key)>;
+
+/** Install `probe` (empty to remove) for the calling process; set it
+ *  only while no optimize() call runs. */
+void setPassKeyProbe(PassKeyProbe probe);
 
 /** The internal seq structural rules (associativity, nop elimination). */
 std::vector<eg::Rewrite> seqRules();

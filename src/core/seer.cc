@@ -738,8 +738,12 @@ class OptimizeDriver
             context_->local_extraction.calls();
         result_.stats.local_extraction_hits =
             context_->local_extraction.hits();
-        // Exploration is over: release the terms the memo pins.
+        result_.stats.local_terms_interned =
+            context_->local_extraction.interned();
+        result_.stats.pass_key_hashes = context_->pass_key_hashes;
+        // Exploration is over: release the terms the memos pin.
         context_->local_extraction = eg::GreedyMemo{};
+        context_->candidate_keys.clear();
     }
 
     void
@@ -919,6 +923,8 @@ toJson(const SeerStats &stats)
     out.set("stop_reasons", std::move(stops));
     out.set("local_extractions", stats.local_extractions);
     out.set("local_extraction_hits", stats.local_extraction_hits);
+    out.set("local_terms_interned", stats.local_terms_interned);
+    out.set("pass_key_hashes", stats.pass_key_hashes);
     out.set("time_in_passes_seconds", stats.time_in_passes_seconds);
     out.set("time_in_egraph_seconds", stats.time_in_egraph_seconds);
     out.set("total_seconds", stats.total_seconds);

@@ -209,6 +209,11 @@ struct SeerStats
      *  on the unchanged e-graph. */
     size_t local_extractions = 0;
     size_t local_extraction_hits = 0;
+    /** Distinct terms the local-extraction memo interned, and pass keys
+     *  the context's key memo computed (one per rule and interned
+     *  candidate, however many e-graph states it survived). */
+    size_t local_terms_interned = 0;
+    size_t pass_key_hashes = 0;
     /** Every applied rewrite, for translation validation. */
     std::vector<eg::RewriteRecord> records;
     /** Per-rule scheduler/profiling stats, aggregated by rule name over

@@ -9,6 +9,7 @@
 
 #include "support/error.h"
 #include "support/fault_inject.h"
+#include "support/hashing.h"
 
 namespace seer::eg {
 
@@ -308,10 +309,13 @@ chosenNodeOf(const EGraph &egraph, const CostModel &cost,
     return n;
 }
 
+/** The greedy term of `id`, built through `interner` when one is given
+ *  (the GreedyMemo path) and with plain makeTerm otherwise. */
 TermPtr
 buildGreedyTerm(const EGraph &egraph, const CostModel &cost,
                 const BoundTable &table, EClassId id, ChoiceMap &choice,
-                TermMemo &memo, std::unordered_set<EClassId> &visiting)
+                TermMemo &memo, std::unordered_set<EClassId> &visiting,
+                GreedyMemo *interner = nullptr)
 {
     id = egraph.find(id);
     auto done = memo.find(id);
@@ -328,9 +332,11 @@ buildGreedyTerm(const EGraph &egraph, const CostModel &cost,
     children.reserve(node.children.size());
     for (EClassId child : node.children)
         children.push_back(buildGreedyTerm(egraph, cost, table, child,
-                                           choice, memo, visiting));
+                                           choice, memo, visiting,
+                                           interner));
     visiting.erase(id);
-    TermPtr term = makeTerm(node.op, std::move(children));
+    TermPtr term = interner ? interner->intern(node.op, std::move(children))
+                            : makeTerm(node.op, std::move(children));
     memo[id] = term;
     return term;
 }
@@ -1085,7 +1091,40 @@ GreedyMemo::extract(const EGraph &egraph, EClassId root,
     }
     std::unordered_set<EClassId> visiting;
     return buildGreedyTerm(egraph, cost, table, canonical, state.choice,
-                           state.terms, visiting);
+                           state.terms, visiting, this);
+}
+
+size_t
+GreedyMemo::InternHash::operator()(const InternKey &key) const
+{
+    uint64_t h = hashValue(key.op.id());
+    for (const TermPtr &child : key.children)
+        h = hashValue(reinterpret_cast<uintptr_t>(child.get()), h);
+    return static_cast<size_t>(h);
+}
+
+bool
+GreedyMemo::InternEqual::operator()(const InternKey &a,
+                                    const TermPtr &b) const
+{
+    if (a.op != b->op() || a.children.size() != b->arity())
+        return false;
+    for (size_t i = 0; i < a.children.size(); ++i) {
+        if (a.children[i] != b->child(i))
+            return false;
+    }
+    return true;
+}
+
+TermPtr
+GreedyMemo::intern(Symbol op, std::vector<TermPtr> children)
+{
+    auto it = interned_.find(InternKey{op, children});
+    if (it != interned_.end())
+        return *it;
+    TermPtr term = makeTerm(op, std::move(children));
+    interned_.insert(term);
+    return term;
 }
 
 TermPtr

@@ -36,6 +36,7 @@
 #include <limits>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "egraph/analysis.h"
 #include "egraph/egraph.h"
@@ -303,6 +304,16 @@ std::optional<Extraction> extractGreedy(const EGraph &egraph,
  * every subterm it shares with earlier answers, prints exactly what a
  * fresh extractGreedy builds.
  *
+ * Terms are also hash-consed: every term the memo builds goes through
+ * intern(), a table keyed by (op, child term pointers) that outlives
+ * state changes, since terms are immutable values. A new state still
+ * re-derives its choices and rebuilds its per-class term map, but each
+ * subterm whose structure did not change comes back as the same
+ * pointer it had before the change. Callers can therefore key
+ * per-term work (a structural hash, a size) by pointer once per run
+ * instead of once per state. The table pins every term it built until
+ * the memo is dropped.
+ *
  * One memo serves one e-graph, and its owner drops it with the graph:
  * the key cannot tell a new graph at a recycled address, whose clock
  * restarts, from the old one. Serial use only, like the extractors.
@@ -311,13 +322,20 @@ class GreedyMemo
 {
   public:
     /** The term extractGreedy(egraph, root, cost) returns, or nullptr
-     *  when `root` has no finite-cost derivation. */
+     *  when `root` has no finite-cost derivation. Built through
+     *  intern(). */
     TermPtr extract(const EGraph &egraph, EClassId root,
                     const CostModel &cost);
+
+    /** The one term (op children...) this memo holds: structurally
+     *  equal terms whose children were interned here share a pointer. */
+    TermPtr intern(Symbol op, std::vector<TermPtr> children);
 
     /** Calls so far, and those a memoized root term answered. */
     size_t calls() const { return calls_; }
     size_t hits() const { return hits_; }
+    /** Distinct terms intern() has built. */
+    size_t interned() const { return interned_.size(); }
 
   private:
     struct State
@@ -334,6 +352,37 @@ class GreedyMemo
     };
     /** One state per cost model (a run uses one or two). */
     std::vector<State> states_;
+
+    /** Lookup form of an interned term: its op and child pointers. */
+    struct InternKey
+    {
+        Symbol op;
+        const std::vector<TermPtr> &children;
+    };
+    struct InternHash
+    {
+        using is_transparent = void;
+        size_t operator()(const InternKey &key) const;
+        size_t operator()(const TermPtr &term) const
+        {
+            return (*this)(InternKey{term->op(), term->children()});
+        }
+    };
+    struct InternEqual
+    {
+        using is_transparent = void;
+        bool operator()(const InternKey &a, const TermPtr &b) const;
+        bool operator()(const TermPtr &a, const InternKey &b) const
+        {
+            return (*this)(b, a);
+        }
+        bool operator()(const TermPtr &a, const TermPtr &b) const
+        {
+            return a == b;
+        }
+    };
+    std::unordered_set<TermPtr, InternHash, InternEqual> interned_;
+
     size_t calls_ = 0;
     size_t hits_ = 0;
 };

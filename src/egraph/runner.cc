@@ -608,15 +608,21 @@ Runner::run()
             ++report.rules_quarantined;
     }
 
-    // Resolve proof records with a shared per-class memo.
+    // Resolve proof records through one smallest-term memo: the graph
+    // no longer changes, so all classes share one greedy state and its
+    // subterms. The per-class map keeps one extraction call (and one
+    // ExtractAlloc fault hit) per distinct class.
     if (options_.record_proofs && !pending_records.empty()) {
+        const TermSizeCost term_size;
+        GreedyMemo smallest;
         std::map<EClassId, TermPtr> memo;
         auto resolve = [&](EClassId id) {
             id = egraph_.find(id);
             auto it = memo.find(id);
             if (it != memo.end())
                 return it->second;
-            TermPtr term = extractSmallest(egraph_, id);
+            TermPtr term = smallest.extract(egraph_, id, term_size);
+            SEER_ASSERT(term, "extractSmallest on infeasible class");
             memo.emplace(id, term);
             return term;
         };

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 
+#include "core/external_rules.h"
 #include "core/seer.h"
 #include "core/verify.h"
 #include "egraph/rewrite.h"
@@ -226,6 +228,58 @@ TEST(SeerTest, OptimizeCallsShareNoLocalExtractionMemo)
     EXPECT_EQ(second.stats.local_extraction_hits,
               first.stats.local_extraction_hits);
     EXPECT_EQ(toString(second.module), toString(first.module));
+}
+
+/** A copy of `term` that shares no node with it. */
+eg::TermPtr
+deepCopy(const eg::TermPtr &term)
+{
+    std::vector<eg::TermPtr> children;
+    for (const eg::TermPtr &child : term->children())
+        children.push_back(deepCopy(child));
+    return eg::makeTerm(term->op(), std::move(children));
+}
+
+/** Removes the pass-key probe however the test exits. */
+struct ScopedPassKeyProbe
+{
+    explicit ScopedPassKeyProbe(PassKeyProbe probe)
+    {
+        setPassKeyProbe(std::move(probe));
+    }
+    ~ScopedPassKeyProbe() { setPassKeyProbe({}); }
+};
+
+/** The key memo serves each (rule, interned candidate) the key a fresh
+ *  hash of an unshared copy gives. Every candidate is interned whole,
+ *  so each distinct (rule, candidate structure) is hashed exactly once
+ *  per run, however many e-graph changes it survives. */
+TEST(SeerTest, MemoizedPassKeysEqualFreshKeys)
+{
+    size_t served = 0, mismatches = 0;
+    std::string first_mismatch;
+    std::set<std::string> distinct;
+    SeerResult result;
+    {
+        ScopedPassKeyProbe probe([&](const ExternalRuleContext &ctx,
+                                     const char *rule,
+                                     const eg::TermPtr &term,
+                                     uint64_t key) {
+            ++served;
+            distinct.insert(std::string(rule) + " " + term->str());
+            if (key != passKeyFor(ctx, rule, deepCopy(term))) {
+                if (mismatches++ == 0)
+                    first_mismatch = std::string(rule) + " " + term->str();
+            }
+        });
+        result = optimize(parseModule(kSeqLoops), "seq_loops");
+    }
+    EXPECT_EQ(mismatches, 0u) << first_mismatch;
+    EXPECT_EQ(result.stats.pass_key_hashes, distinct.size());
+    EXPECT_GT(served, 2 * result.stats.pass_key_hashes);
+    EXPECT_LE(result.stats.pass_key_hashes,
+              result.stats.scheduler.observations);
+    EXPECT_GT(result.stats.local_terms_interned, 0u);
 }
 
 /** Which cost-bound analyses a probe rule saw registered while the

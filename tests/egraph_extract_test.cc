@@ -868,6 +868,68 @@ TEST(GreedyMemoTest, MemoizedTermsMatchFreshExtraction)
     EXPECT_GT(hits, 0u);
 }
 
+/** intern() is a hash-cons over (op, child pointers): equal keys give
+ *  one term, and a structurally equal child built elsewhere is another
+ *  key. */
+TEST(GreedyMemoTest, InternReturnsOneTermPerOpAndChildren)
+{
+    GreedyMemo memo;
+    TermPtr a = memo.intern(Symbol("a"), {});
+    TermPtr b = memo.intern(Symbol("b"), {});
+    EXPECT_EQ(memo.intern(Symbol("a"), {}), a);
+    TermPtr fab = memo.intern(Symbol("f"), {a, b});
+    EXPECT_EQ(memo.intern(Symbol("f"), {a, b}), fab);
+    EXPECT_EQ(fab->str(), "(f a b)");
+    EXPECT_NE(memo.intern(Symbol("f"), {b, a}), fab);
+    EXPECT_NE(memo.intern(Symbol("g"), {a, b}), fab);
+    EXPECT_NE(memo.intern(Symbol("f"), {makeTerm("a"), b}), fab);
+    // a, b, (f a b), (f b a), (g a b) and (f a' b).
+    EXPECT_EQ(memo.interned(), 6u);
+}
+
+/** A change outside a class's support starts a new memo state, yet the
+ *  class's re-extracted term is the pointer it was before; a change
+ *  inside the support yields a new term that still shares the
+ *  untouched subterm. */
+TEST(GreedyMemoTest, UnchangedSupportKeepsItsTermAcrossGraphChanges)
+{
+    EGraph eg;
+    registerCostBound(eg, kSize);
+    EClassId root = eg.addTerm(parseTerm("(f (g (h a)) b)"));
+    EClassId other = eg.addTerm(parseTerm("(k c)"));
+    EClassId d = eg.addTerm(parseTerm("d"));
+    eg.rebuild();
+    GreedyMemo memo;
+    TermPtr before = memo.extract(eg, root, kSize);
+    ASSERT_TRUE(before);
+    EXPECT_EQ(before->str(), "(f (g (h a)) b)");
+
+    uint64_t tick = eg.tick();
+    eg.add(ENode{Symbol("e"), {}});
+    eg.merge(other, d);
+    eg.rebuild();
+    ASSERT_NE(eg.tick(), tick);
+    size_t hits = memo.hits();
+    TermPtr after = memo.extract(eg, root, kSize);
+    EXPECT_EQ(memo.hits(), hits); // answered by a fresh state
+    EXPECT_EQ(after, before);
+    EXPECT_EQ(after->str(), extractGreedy(eg, root, kSize)->term->str());
+
+    // (g (h a)) gains the smaller representative (g z): the root term
+    // is rebuilt, its untouched child b keeps its pointer.
+    auto g = eg.lookupTerm(parseTerm("(g (h a))"));
+    ASSERT_TRUE(g.has_value());
+    eg.merge(*g, eg.addTerm(parseTerm("(g z)")));
+    eg.rebuild();
+    TermPtr changed = memo.extract(eg, root, kSize);
+    ASSERT_TRUE(changed);
+    EXPECT_EQ(changed->str(), "(f (g z) b)");
+    EXPECT_EQ(changed->str(),
+              extractGreedy(eg, root, kSize)->term->str());
+    EXPECT_NE(changed, before);
+    EXPECT_EQ(changed->child(1), before->child(1));
+}
+
 /** External model-input updates invalidate only the dependent cones:
  *  after touching one leaf's table entry, the re-drain recomputes a
  *  strict subset of the classes and still matches the naive path. */

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
 
 #include "egraph/extract.h"
 #include "egraph/runner.h"
@@ -128,6 +130,96 @@ TEST(ProofRecordTest, RecordsStayResolvableAfterHeavyMerging)
     auto path = eg.explain(a, b);
     ASSERT_TRUE(path.has_value());
     EXPECT_FALSE(path->empty());
+}
+
+/** The subterm each pattern variable stands for in `term`, a ground
+ *  instance of `pattern`. */
+void
+bindVariables(const Pattern &pattern, const TermPtr &term,
+              std::map<Symbol, TermPtr> &bound)
+{
+    if (pattern.isVar()) {
+        bound.emplace(pattern.var(), term);
+        return;
+    }
+    ASSERT_EQ(pattern.op(), term->op()) << term->str();
+    ASSERT_EQ(pattern.children().size(), term->arity()) << term->str();
+    for (size_t i = 0; i < term->arity(); ++i)
+        bindVariables(*pattern.children()[i], term->child(i), bound);
+}
+
+/** Records resolve through one shared smallest-term memo. Each record
+ *  must print what resolving its classes one extractSmallest call at a
+ *  time prints, records naming the same class share its term, and so
+ *  does every subterm standing for a class some record names. */
+TEST(ProofRecordTest, SharedResolutionMatchesPerClassExtraction)
+{
+    EGraph eg(rover::roverAnalysisHooks());
+    eg.addTerm(parseTerm(
+        "(arith.addi:i32 (arith.muli:i32 (arith.addi:i32 var:a var:b) "
+        "const:6:i32) (arith.muli:i32 (arith.addi:i32 var:b var:a) "
+        "const:4:i32))"));
+    RunnerOptions options;
+    options.max_iters = 4;
+    options.max_nodes = 20000;
+    Runner runner(eg, options);
+    std::vector<Rewrite> rules = rover::roverRules();
+    runner.addRules(rules);
+    RunnerReport report = runner.run();
+    ASSERT_GE(report.records.size(), 10u);
+    EXPECT_GT(report.total_applied, 0u);
+
+    std::map<EClassId, TermPtr> shared; // class -> first record's term
+    size_t shared_hits = 0;
+    for (const RewriteRecord &record : report.records) {
+        auto rule = std::find_if(rules.begin(), rules.end(),
+                                 [&](const Rewrite &r) {
+                                     return r.name == record.rule;
+                                 });
+        ASSERT_NE(rule, rules.end()) << record.rule;
+        std::map<Symbol, TermPtr> bound;
+        bindVariables(*rule->lhs, record.lhs, bound);
+        Subst subst;
+        for (const auto &[var, term] : bound) {
+            auto id = eg.lookupTerm(term);
+            ASSERT_TRUE(id.has_value()) << term->str();
+            EClassId canonical = eg.find(*id);
+            subst[var] = canonical;
+            auto [it, first] = shared.emplace(canonical, term);
+            if (!first) {
+                EXPECT_EQ(it->second, term) << term->str();
+                ++shared_hits;
+            }
+        }
+        auto reference = [&](EClassId id) {
+            return extractSmallest(eg, id);
+        };
+        EXPECT_EQ(record.lhs->str(),
+                  instantiateTerm(*rule->lhs, subst, reference)->str());
+        if (!rule->isDynamic()) {
+            EXPECT_EQ(record.rhs->str(),
+                      instantiateTerm(*rule->rhs, subst, reference)
+                          ->str());
+        }
+    }
+    EXPECT_GT(shared_hits, 0u);
+
+    size_t nested_hits = 0;
+    std::function<void(const TermPtr &)> walk = [&](const TermPtr &term) {
+        for (const TermPtr &child : term->children()) {
+            auto id = eg.lookupTerm(child);
+            ASSERT_TRUE(id.has_value()) << child->str();
+            auto it = shared.find(eg.find(*id));
+            if (it != shared.end()) {
+                EXPECT_EQ(it->second, child) << child->str();
+                ++nested_hits;
+            }
+            walk(child);
+        }
+    };
+    for (const auto &[id, term] : shared)
+        walk(term);
+    EXPECT_GT(nested_hits, 0u);
 }
 
 // --- Extraction properties over randomized saturations ----------------
