@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <new>
-#include <set>
 #include <sstream>
 
 #include <fcntl.h>
@@ -33,37 +32,38 @@ namespace {
 /** Interpreter budget of the validation gate (as before this layer). */
 constexpr uint64_t kValidationMaxSteps = 2'000'000;
 
-void
-collectArgNames(const TermPtr &term, std::set<std::string> &out)
-{
-    if (auto arg = sl::decodeArg(term->op()))
-        out.emplace(arg->first);
-    for (const auto &child : term->children())
-        collectArgNames(child, out);
-}
+using RenameMemo = std::unordered_map<const eg::Term *, TermPtr>;
 
-/** Rewrite arg:<v>:index leaves back into var:<v> for snippet re-entry. */
+/**
+ * Rewrite arg:<v>:index leaves back into var:<v> for snippet re-entry.
+ * `vars` is sorted; `memo` maps each node visited so far to its
+ * rewrite, so a shared subterm is rebuilt once and stays shared.
+ */
 TermPtr
-renameArgsToVars(const TermPtr &term, const std::set<std::string> &vars)
+renameArgsToVars(const TermPtr &term, const std::vector<std::string> &vars,
+                 RenameMemo &memo)
 {
+    if (auto found = memo.find(term.get()); found != memo.end())
+        return found->second;
+    TermPtr out = term;
     if (auto arg = sl::decodeArg(term->op())) {
-        if (arg->second.isIndex()) {
-            std::string name(arg->first);
-            if (vars.count(name))
-                return eg::makeTerm(sl::encodeVar(name));
+        if (arg->second.isIndex() &&
+            std::binary_search(vars.begin(), vars.end(), arg->first))
+            out = eg::makeTerm(sl::encodeVar(std::string(arg->first)));
+    } else if (!term->isLeaf()) {
+        std::vector<TermPtr> children;
+        children.reserve(term->arity());
+        bool changed = false;
+        for (const auto &child : term->children()) {
+            TermPtr renamed = renameArgsToVars(child, vars, memo);
+            changed |= renamed != child;
+            children.push_back(std::move(renamed));
         }
+        if (changed)
+            out = eg::makeTerm(term->op(), std::move(children));
     }
-    if (term->isLeaf())
-        return term;
-    std::vector<TermPtr> children;
-    children.reserve(term->arity());
-    bool changed = false;
-    for (const auto &child : term->children()) {
-        TermPtr renamed = renameArgsToVars(child, vars);
-        changed |= renamed != child;
-        children.push_back(std::move(renamed));
-    }
-    return changed ? eg::makeTerm(term->op(), std::move(children)) : term;
+    memo.emplace(term.get(), out);
+    return out;
 }
 
 using Clock = std::chrono::steady_clock;
@@ -92,13 +92,6 @@ evaluateImpl(const TermPtr &term,
     auto expired = [&config] { return config.exec.canceled(); };
 
     sl::EmitSpec spec = sl::inferSpec(term, "snippet");
-    std::set<std::string> arg_names;
-    collectArgNames(term, arg_names);
-    std::set<std::string> var_args;
-    for (const auto &[name, type] : spec.args) {
-        if (!arg_names.count(name))
-            var_args.insert(name);
-    }
     ir::Module snippet = sl::termToFunc(term, spec);
     ir::Operation &func = *snippet.firstFunc();
     charge.emit_seconds += secondsSince(stamp);
@@ -121,8 +114,9 @@ evaluateImpl(const TermPtr &term,
     charge.pass_seconds += secondsSince(stamp);
 
     sl::Translation translation = sl::funcToTerm(func);
-    TermPtr replacement =
-        renameArgsToVars(translation.term->child(0), var_args);
+    RenameMemo rename_memo;
+    TermPtr replacement = renameArgsToVars(translation.term->child(0),
+                                           spec.free_vars, rename_memo);
     charge.translate_seconds += secondsSince(stamp);
 
     // Chaos: a pass that "succeeded" but emitted nonsense. Fired before

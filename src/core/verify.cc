@@ -147,17 +147,27 @@ class ScopedInterpCharge
     int64_t bytes_;
 };
 
-/** Execute a statement term on the given argument seed. */
-RunStatus
-runTerm(const TermPtr &statement, const sl::EmitSpec &spec, uint64_t seed,
-        const VerifyOptions &verify_options, std::vector<int64_t> &state)
+/** A statement term lowered for co-simulation; nullopt when it cannot
+ *  be emitted. */
+std::optional<ir::Module>
+lowerTerm(const TermPtr &statement, const sl::EmitSpec &spec)
 {
-    ir::Module module;
     try {
-        module = sl::termToFunc(statement, spec);
+        return sl::termToFunc(statement, spec);
     } catch (const FatalError &) {
-        return RunStatus::Trap;
+        return std::nullopt;
     }
+}
+
+/** Execute a lowered term on the given argument seed; a term that
+ *  could not be emitted traps. */
+RunStatus
+runTerm(const std::optional<ir::Module> &module, const sl::EmitSpec &spec,
+        uint64_t seed, const VerifyOptions &verify_options,
+        std::vector<int64_t> &state)
+{
+    if (!module)
+        return RunStatus::Trap;
     std::vector<std::unique_ptr<ir::Buffer>> buffers;
     Rng rng(seed);
     ir::InterpOptions options;
@@ -167,7 +177,7 @@ runTerm(const TermPtr &statement, const sl::EmitSpec &spec, uint64_t seed,
         std::vector<ir::RtValue> args = buildArgs(spec, buffers, rng);
         ScopedInterpCharge charge(verify_options.exec,
                                   bufferBytes(buffers));
-        ir::interpret(module, spec.func_name, std::move(args), options);
+        ir::interpret(*module, spec.func_name, std::move(args), options);
     } catch (const ir::InterpError &err) {
         // Cancellation is the *caller's* budget expiring, not evidence
         // about the program: never let it count as a trap verdict.
@@ -209,6 +219,12 @@ checkTermEquivalence(const TermPtr &lhs, const TermPtr &rhs,
         return false;
     }
 
+    // Each side is lowered once; every run interprets the same module.
+    std::optional<ir::Module> lhs_module, rhs_module;
+    if (options.runs > 0 && !options.exec.canceled()) {
+        lhs_module = lowerTerm(lhs_statement, *spec);
+        rhs_module = lowerTerm(rhs_statement, *spec);
+    }
     int conclusive = 0;
     for (int run = 0; run < options.runs; ++run) {
         // Cooperative cancellation between runs (and, via
@@ -217,10 +233,8 @@ checkTermEquivalence(const TermPtr &lhs, const TermPtr &rhs,
             break;
         uint64_t seed = options.seed + 7919 * run;
         std::vector<int64_t> lhs_state, rhs_state;
-        RunStatus ls =
-            runTerm(lhs_statement, *spec, seed, options, lhs_state);
-        RunStatus rs =
-            runTerm(rhs_statement, *spec, seed, options, rhs_state);
+        RunStatus ls = runTerm(lhs_module, *spec, seed, options, lhs_state);
+        RunStatus rs = runTerm(rhs_module, *spec, seed, options, rhs_state);
         if (ls == RunStatus::Canceled || rs == RunStatus::Canceled)
             break; // deadline expired mid-run: stop, stay inconclusive
         if (ls == RunStatus::Trap || rs == RunStatus::Trap)

@@ -1,6 +1,8 @@
 #include "seerlang/from_term.h"
 
 #include <set>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "ir/builder.h"
 #include "ir/parser.h"
@@ -15,45 +17,88 @@ using eg::TermPtr;
 
 namespace {
 
-/** Names are views into interned symbol text. */
-void
-collectFreeLeaves(const TermPtr &term,
-                  std::set<std::string_view> &bound_vars,
-                  std::map<std::string_view, Type> &args,
-                  std::set<std::string_view> &free_vars)
+/**
+ * The free leaves of a term, one visit per (node, binder context). A
+ * context is one entry into an affine.for body; it names its iv and its
+ * parent, so a node reached twice under the same context sees the same
+ * bound names. Names are views into interned symbol text.
+ */
+class FreeLeafCollector
 {
-    Symbol op = term->op();
-    if (auto arg = decodeArg(op)) {
-        auto [name, type] = *arg;
-        auto it = args.find(name);
-        if (it != args.end() && !(it->second == type)) {
-            fatal("SeerLang: arg '" + std::string(name) +
-                  "' used at two types");
+  public:
+    void run(const Term *root) { visit(root, kTopLevel); }
+
+    std::map<std::string_view, Type> args;
+    std::set<std::string_view> free_vars;
+
+  private:
+    /** The context outside every loop body: nothing bound. */
+    static constexpr uint32_t kTopLevel = UINT32_MAX;
+
+    struct Context
+    {
+        uint32_t parent;
+        std::string_view iv;
+    };
+
+    struct VisitHash
+    {
+        size_t
+        operator()(const std::pair<const Term *, uint32_t> &key) const
+        {
+            return std::hash<const Term *>()(key.first) ^
+                   (static_cast<size_t>(key.second) * 0x9e3779b97f4a7c15);
         }
-        args.emplace(name, type);
-        return;
-    }
-    if (auto var = decodeVar(op)) {
-        if (!bound_vars.count(*var))
-            free_vars.insert(*var);
-        return;
-    }
-    if (isForSymbol(op)) {
-        std::string_view iv = eg::splitSymbol(op)[1];
-        // Bounds and step are outside the iv scope.
-        for (size_t i = 0; i < 3; ++i) {
-            collectFreeLeaves(term->child(i), bound_vars, args,
-                              free_vars);
+    };
+
+    bool
+    bound(std::string_view name, uint32_t ctx) const
+    {
+        for (; ctx != kTopLevel; ctx = contexts_[ctx].parent) {
+            if (contexts_[ctx].iv == name)
+                return true;
         }
-        bool was_bound = !bound_vars.insert(iv).second;
-        collectFreeLeaves(term->child(3), bound_vars, args, free_vars);
-        if (!was_bound)
-            bound_vars.erase(iv);
-        return;
+        return false;
     }
-    for (const auto &child : term->children())
-        collectFreeLeaves(child, bound_vars, args, free_vars);
-}
+
+    void
+    visit(const Term *term, uint32_t ctx)
+    {
+        if (!seen_.emplace(term, ctx).second)
+            return;
+        Symbol op = term->op();
+        if (auto arg = decodeArg(op)) {
+            auto [name, type] = *arg;
+            auto it = args.find(name);
+            if (it != args.end() && !(it->second == type)) {
+                fatal("SeerLang: arg '" + std::string(name) +
+                      "' used at two types");
+            }
+            args.emplace(name, type);
+            return;
+        }
+        if (auto var = decodeVar(op)) {
+            if (!bound(*var, ctx))
+                free_vars.insert(*var);
+            return;
+        }
+        if (isForSymbol(op)) {
+            // Bounds and step are outside the iv scope.
+            for (size_t i = 0; i < 3; ++i)
+                visit(term->child(i).get(), ctx);
+            contexts_.push_back({ctx, eg::splitSymbol(op)[1]});
+            visit(term->child(3).get(),
+                  static_cast<uint32_t>(contexts_.size() - 1));
+            return;
+        }
+        for (const auto &child : term->children())
+            visit(child.get(), ctx);
+    }
+
+    std::vector<Context> contexts_;
+    std::unordered_set<std::pair<const Term *, uint32_t>, VisitHash>
+        seen_;
+};
 
 class Emitter
 {
@@ -90,6 +135,7 @@ class Emitter
     {
         scopes_.emplace_back();
         vn_.emplace_back();
+        memo_.emplace_back();
     }
 
     void
@@ -97,16 +143,25 @@ class Emitter
     {
         scopes_.pop_back();
         vn_.pop_back();
+        memo_.pop_back();
+    }
+
+    const Value *
+    findName(std::string_view name) const
+    {
+        for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
+            auto found = it->find(name);
+            if (found != it->end())
+                return &found->second;
+        }
+        return nullptr;
     }
 
     Value
     lookupName(std::string_view name)
     {
-        for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-            auto found = it->find(name);
-            if (found != it->end())
-                return found->second;
-        }
+        if (const Value *value = findName(name))
+            return *value;
         fatal("SeerLang emission: unbound name '" + std::string(name) +
               "'");
     }
@@ -234,12 +289,18 @@ class Emitter
             builder.affineFor(lb, ub, step->first, iv_name);
         loop->setAttr("seer.loop_id", Attribute(loop_id));
         Block &body = loop->region(0).block();
+        // An iv that rebinds an outer name (outer iv or function arg)
+        // changes what a memoized subterm reading that name means:
+        // emit this body without the memo.
+        bool shadows = findName(iv_name) != nullptr;
+        shadowing_ += shadows;
         pushScope();
         scopes_.back()[iv_name] = body.arg(0);
         OpBuilder body_builder = OpBuilder::atEnd(body);
         emitStatement(term->child(3), body_builder);
         body_builder.create(ir::opnames::kAffineYield, {}, {});
         popScope();
+        shadowing_ -= shadows;
     }
 
     void
@@ -276,8 +337,32 @@ class Emitter
         popScope();
     }
 
+    /**
+     * Emit a value term, reusing the value of an earlier emission of
+     * the same node when that entry is still in scope. Sound because
+     * re-emitting a node creates no op: its children resolve to the
+     * same values (names, tags, memo entries, all still visible), so
+     * its own value-number or tag lookup hits. Only a rebound name
+     * breaks that, and emitFor turns the memo off under a rebinding.
+     */
     Value
     emitValue(const TermPtr &term, OpBuilder &builder)
+    {
+        if (shadowing_ > 0)
+            return emitValueOnce(term, builder);
+        const Term *node = term.get();
+        for (auto it = memo_.rbegin(); it != memo_.rend(); ++it) {
+            auto found = it->find(node);
+            if (found != it->end())
+                return found->second;
+        }
+        Value value = emitValueOnce(term, builder);
+        memo_.back().emplace(node, value);
+        return value;
+    }
+
+    Value
+    emitValueOnce(const TermPtr &term, OpBuilder &builder)
     {
         Symbol op = term->op();
         if (auto constant = decodeIntConst(op)) {
@@ -380,6 +465,10 @@ class Emitter
     ir::Block *entry_block_ = nullptr;
     std::vector<std::map<std::string, Value, std::less<>>> scopes_;
     std::vector<std::map<VnKey, Value>> vn_;
+    /** Per scope, like vn_: each value node's value. */
+    std::vector<std::unordered_map<const Term *, Value>> memo_;
+    /** Loop bodies open whose iv rebinds an outer name. */
+    int shadowing_ = 0;
     // Tags are views into interned symbol text.
     std::map<std::string_view, Value> tagged_;
     std::set<std::string_view> emitted_stores_;
@@ -390,15 +479,17 @@ class Emitter
 EmitSpec
 inferSpec(const TermPtr &term, const std::string &func_name)
 {
-    std::set<std::string_view> bound, free_vars;
-    std::map<std::string_view, Type> args;
-    collectFreeLeaves(term, bound, args, free_vars);
+    FreeLeafCollector leaves;
+    leaves.run(term.get());
     EmitSpec spec;
     spec.func_name = func_name;
-    for (const auto &[name, type] : args)
+    for (const auto &[name, type] : leaves.args)
         spec.args.emplace_back(std::string(name), type);
-    for (std::string_view name : free_vars)
+    for (std::string_view name : leaves.free_vars) {
         spec.args.emplace_back(std::string(name), Type::index());
+        if (!leaves.args.count(name))
+            spec.free_vars.emplace_back(name);
+    }
     return spec;
 }
 

@@ -1,6 +1,11 @@
 /** SeerLang translation tests: IR -> term -> IR round trips. */
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "benchmarks/benchmarks.h"
+#include "core/external_rules.h"
+#include "core/seer.h"
 #include "ir/interp.h"
 #include "ir/ops.h"
 #include "ir/parser.h"
@@ -356,6 +361,230 @@ func.func @f(%a: memref<8xi32>) {
         }
     });
     EXPECT_TRUE(found);
+}
+
+// --- Snippet lowering of shared DAGs --------------------------------
+//
+// inferSpec and termToFunc visit each distinct subterm once per binder
+// context. Each case below compares a shared DAG against a deep copy
+// that shares no node: the spec and the printed IR must be the same.
+
+/** A copy of `term` that shares no node with it. */
+eg::TermPtr
+deepCopy(const eg::TermPtr &term)
+{
+    std::vector<eg::TermPtr> children;
+    for (const eg::TermPtr &child : term->children())
+        children.push_back(deepCopy(child));
+    return eg::makeTerm(term->op(), std::move(children));
+}
+
+/** The spec and IR of `term`, or the FatalError it raises. */
+std::string
+lowered(const eg::TermPtr &term)
+{
+    try {
+        EmitSpec spec = inferSpec(term, "snippet");
+        std::string out;
+        for (const auto &[name, type] : spec.args)
+            out += name + ":" + type.str() + " ";
+        out += "| free:";
+        for (const std::string &name : spec.free_vars)
+            out += " " + name;
+        return out + "\n" + toString(termToFunc(term, spec));
+    } catch (const FatalError &err) {
+        return std::string("fatal: ") + err.what();
+    }
+}
+
+/** Distinct nodes of a DAG. */
+size_t
+distinctNodes(const eg::TermPtr &term, std::set<const eg::Term *> &seen)
+{
+    if (!seen.insert(term.get()).second)
+        return 0;
+    size_t n = 1;
+    for (const eg::TermPtr &child : term->children())
+        n += distinctNodes(child, seen);
+    return n;
+}
+
+struct ScopedPassKeyProbe
+{
+    explicit ScopedPassKeyProbe(core::PassKeyProbe probe)
+    {
+        core::setPassKeyProbe(std::move(probe));
+    }
+    ~ScopedPassKeyProbe() { core::setPassKeyProbe({}); }
+};
+
+/** Every candidate the exploration hands to an external pass lowers
+ *  exactly as its unshared copy does. */
+void
+expectServedCandidatesLowerAsTrees(const Module &input,
+                                   const std::string &func)
+{
+    std::set<const eg::Term *> checked;
+    size_t candidates = 0, mismatches = 0, tree_nodes = 0, dag_nodes = 0;
+    std::string first_mismatch;
+    {
+        ScopedPassKeyProbe probe([&](const core::ExternalRuleContext &,
+                                     const char *, const eg::TermPtr &term,
+                                     uint64_t) {
+            if (!checked.insert(term.get()).second)
+                return;
+            ++candidates;
+            std::set<const eg::Term *> seen;
+            dag_nodes += distinctNodes(term, seen);
+            tree_nodes += term->size();
+            std::string shared = lowered(term);
+            std::string copy = lowered(deepCopy(term));
+            if (shared != copy && mismatches++ == 0)
+                first_mismatch = term->str() + "\nshared:\n" + shared +
+                                 "\ncopy:\n" + copy;
+        });
+        core::optimize(input, func);
+    }
+    EXPECT_GT(candidates, 0u);
+    EXPECT_EQ(mismatches, 0u) << first_mismatch;
+    // The candidates are DAGs, so the shared walk is the one exercised.
+    EXPECT_LT(dag_nodes, tree_nodes);
+}
+
+TEST(SnippetLoweringTest, ServedCandidatesLowerAsTheirTrees)
+{
+    expectServedCandidatesLowerAsTrees(parseModule(R"(
+func.func @seq_loops(%a: memref<64xi32>, %b: memref<64xi32>,
+                     %c: memref<64xi32>) {
+  affine.for %i = 0 to 32 {
+    %v = memref.load %a[%i] : memref<64xi32>
+    %w = arith.addi %v, %v : i32
+    memref.store %w, %b[%i] : memref<64xi32>
+  }
+  affine.for %j = 0 to 32 {
+    %v = memref.load %b[%j] : memref<64xi32>
+    %c2 = arith.constant 2 : i32
+    %w = arith.muli %v, %c2 : i32
+    memref.store %w, %c[%j] : memref<64xi32>
+  }
+})"),
+                                       "seq_loops");
+    const bench::Benchmark &knn = bench::findBenchmark("md_knn");
+    expectServedCandidatesLowerAsTrees(bench::parseBenchmark(knn),
+                                       knn.func);
+}
+
+eg::TermPtr
+node(const std::string &op, std::vector<eg::TermPtr> children = {})
+{
+    return eg::makeTerm(op, std::move(children));
+}
+
+eg::TermPtr
+forLoop(const std::string &iv, const std::string &id, eg::TermPtr body)
+{
+    return node("affine.for:" + iv + ":" + id,
+                {node("const:0:index"), node("const:4:index"),
+                 node("const:1:index"), std::move(body)});
+}
+
+eg::TermPtr
+store(const std::string &tag, const std::string &value, eg::TermPtr index)
+{
+    return node("memref.store:" + tag,
+                {node(value), node("arg:a:memref<16xi32>"),
+                 std::move(index)});
+}
+
+/** One var pointer, bound inside a loop and free outside it: the
+ *  loop is walked first, so a seen-set blind to the binder context
+ *  would miss that `i` is free. */
+TEST(SnippetLoweringTest, SharedVarFreeOutsideAndBoundInsideALoop)
+{
+    eg::TermPtr i = node("var:i");
+    eg::TermPtr dag =
+        node("seq", {forLoop("i", "L0", store("s0", "const:1:i32", i)),
+                     store("s1", "const:2:i32", i)});
+    EmitSpec spec = inferSpec(dag, "snippet");
+    ASSERT_EQ(spec.args.size(), 2u);
+    EXPECT_EQ(spec.args[1].first, "i");
+    EXPECT_EQ(spec.free_vars, std::vector<std::string>{"i"});
+    EXPECT_EQ(lowered(dag), lowered(deepCopy(dag)));
+    Module module = termToFunc(dag, spec);
+    EXPECT_EQ(verify(module), "") << toString(module);
+}
+
+/** A loop whose iv rebinds an outer name sees a shared value subterm
+ *  reading that name anew: the emitter must not reuse the value the
+ *  subterm had outside the loop. */
+TEST(SnippetLoweringTest, RebindingLoopsReemitSharedSubterms)
+{
+    eg::TermPtr plus_one =
+        node("arith.addi:index", {node("var:i"), node("const:1:index")});
+    // An inner loop rebinding the outer iv.
+    eg::TermPtr nested = forLoop(
+        "i", "L0",
+        node("seq", {store("s0", "const:1:i32", plus_one),
+                     forLoop("i", "L1",
+                             store("s1", "const:2:i32", plus_one))}));
+    // A loop rebinding a function argument.
+    eg::TermPtr over_arg =
+        node("seq", {store("s2", "const:3:i32", plus_one),
+                     forLoop("i", "L2",
+                             store("s3", "const:4:i32", plus_one))});
+    for (const eg::TermPtr &dag : {nested, over_arg}) {
+        std::string shared = lowered(dag);
+        EXPECT_EQ(shared, lowered(deepCopy(dag)));
+        // Two distinct increments: one per binding of `i`.
+        Module module = termToFunc(dag, inferSpec(dag, "snippet"));
+        size_t adds = 0;
+        walk(module, [&](Operation &op) {
+            adds += isa(op, ir::opnames::kAddI);
+        });
+        EXPECT_EQ(adds, 2u) << shared;
+    }
+}
+
+TEST(SnippetLoweringTest, ConflictingArgTypesInASharedDagStillFail)
+{
+    // `narrow` is walked once and skipped at its second use; the
+    // i64 use of `x` after it must still meet the recorded i32 type.
+    eg::TermPtr narrow =
+        node("arith.addi:i32", {node("arg:x:i32"), node("const:1:i32")});
+    eg::TermPtr dag = node(
+        "seq",
+        {node("memref.store:s0",
+              {narrow, node("arg:a:memref<4xi32>"), node("const:0:index")}),
+         node("memref.store:s1",
+              {node("arith.addi:i64",
+                    {node("arith.extsi:i32:i64", {narrow}),
+                     node("arg:x:i64")}),
+               node("arg:b:memref<4xi64>"), node("const:0:index")})});
+    std::string shared = lowered(dag);
+    EXPECT_EQ(shared, "fatal: SeerLang: arg 'x' used at two types");
+    EXPECT_EQ(shared, lowered(deepCopy(dag)));
+}
+
+/** The walks are linear in distinct nodes: a depth-48 doubling chain
+ *  is 2^48 nodes as a tree. */
+TEST(SnippetLoweringTest, DoublingChainLowersInLinearTime)
+{
+    eg::TermPtr x = node("arg:x:i32");
+    for (int k = 0; k < 48; ++k)
+        x = node("arith.addi:i32", {x, x});
+    eg::TermPtr dag = node("memref.store:s0",
+                           {x, node("arg:a:memref<1xi32>"),
+                            node("const:0:index")});
+    EmitSpec spec = inferSpec(dag, "snippet");
+    ASSERT_EQ(spec.args.size(), 2u);
+    EXPECT_EQ(spec.args[0].first, "a");
+    EXPECT_EQ(spec.args[1].first, "x");
+    Module module = termToFunc(dag, spec);
+    size_t adds = 0;
+    walk(module, [&](Operation &op) {
+        adds += isa(op, ir::opnames::kAddI);
+    });
+    EXPECT_EQ(adds, 48u);
 }
 
 } // namespace

@@ -135,6 +135,38 @@ func.func @f(%a: memref<8xi32>) {
     EXPECT_FALSE(checkModuleEquivalence(lhs, rhs, "f", {}, &diff));
 }
 
+TEST(TermEquivalenceTest, UnemittableSideIsInconclusiveForAnyRunCount)
+{
+    // `nop` is a statement operator in value position: the rhs cannot
+    // be emitted, so every run traps and the check proves nothing.
+    eg::TermPtr lhs = parseTerm("(arith.addi:i32 arg:x:i32 const:1:i32)");
+    eg::TermPtr rhs = parseTerm("(arith.addi:i32 arg:x:i32 nop)");
+    for (int runs : {2, 0}) {
+        VerifyOptions options;
+        options.runs = runs;
+        std::string diagnostic;
+        EXPECT_TRUE(checkTermEquivalence(lhs, rhs, options, &diagnostic))
+            << runs;
+        EXPECT_EQ(diagnostic, "<inconclusive>") << runs;
+    }
+}
+
+TEST(TermEquivalenceTest, CounterexampleSeedIsPinned)
+{
+    // max(x, -25) and x differ only for x below -25. Runs 0-2 draw
+    // larger x and agree; the fourth run (seed 0x5EEE + 3 * 7919) is
+    // the counterexample, with both sides lowered once for all runs.
+    eg::TermPtr lhs =
+        parseTerm("(arith.maxsi:i32 arg:x:i32 const:-25:i32)");
+    eg::TermPtr rhs = parseTerm("arg:x:i32");
+    VerifyOptions options;
+    options.runs = 8;
+    std::string diagnostic;
+    EXPECT_FALSE(checkTermEquivalence(lhs, rhs, options, &diagnostic));
+    EXPECT_EQ(diagnostic.substr(0, diagnostic.find('\n')),
+              "counterexample at seed 48059");
+}
+
 TEST(ModuleEquivalenceTest, InputTrappingOnRandomInputsIsInconclusive)
 {
     // md_knn's neighbour indices come from its inputs: plain random
