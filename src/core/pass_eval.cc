@@ -130,9 +130,11 @@ evaluateImpl(const TermPtr &term,
 
     // Validation gate (fault isolation): the transformed snippet must
     // pass the structural verifier and the before/after terms must
-    // co-simulate on deterministic pseudo-random inputs. Equivalence
-    // verdicts are memoized: structurally identical (before, after)
-    // pairs under the same simulation budget share one co-simulation.
+    // co-simulate on deterministic pseudo-random inputs, or lower to
+    // identical IR, which checkTermEquivalence accepts without a run.
+    // Equivalence verdicts are memoized: structurally identical
+    // (before, after) pairs under the same simulation budget share one
+    // co-simulation.
     if (!expired()) {
         std::string diag = ir::verify(snippet);
         if (!diag.empty()) {

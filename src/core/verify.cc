@@ -159,15 +159,46 @@ lowerTerm(const TermPtr &statement, const sl::EmitSpec &spec)
     }
 }
 
+/** Inconclusive causes: cause k < 6 is ir::TrapKind k, then these.
+ *  A check collects the causes it hits as bits. */
+constexpr unsigned kUnemittable = 6;
+constexpr unsigned kOtherFault = 7;
+static_assert(static_cast<unsigned>(ir::TrapKind::Unsupported) <
+              kUnemittable);
+
+unsigned
+causeBit(unsigned cause)
+{
+    return 1u << cause;
+}
+
+unsigned
+causeBit(ir::TrapKind kind)
+{
+    return causeBit(static_cast<unsigned>(kind));
+}
+
+const char *
+causeName(unsigned cause)
+{
+    if (cause == kUnemittable)
+        return "unemittable";
+    if (cause == kOtherFault)
+        return "other";
+    return ir::trapKindName(static_cast<ir::TrapKind>(cause));
+}
+
 /** Execute a lowered term on the given argument seed; a term that
- *  could not be emitted traps. */
+ *  could not be emitted traps. Each trap adds its cause to `causes`. */
 RunStatus
 runTerm(const std::optional<ir::Module> &module, const sl::EmitSpec &spec,
         uint64_t seed, const VerifyOptions &verify_options,
-        std::vector<int64_t> &state)
+        std::vector<int64_t> &state, unsigned &causes)
 {
-    if (!module)
+    if (!module) {
+        causes |= causeBit(kUnemittable);
         return RunStatus::Trap;
+    }
     std::vector<std::unique_ptr<ir::Buffer>> buffers;
     Rng rng(seed);
     ir::InterpOptions options;
@@ -181,60 +212,95 @@ runTerm(const std::optional<ir::Module> &module, const sl::EmitSpec &spec,
     } catch (const ir::InterpError &err) {
         // Cancellation is the *caller's* budget expiring, not evidence
         // about the program: never let it count as a trap verdict.
+        causes |= causeBit(err.kind());
         return err.isCancellation() ? RunStatus::Canceled
                                     : RunStatus::Trap;
     } catch (const FatalError &) {
+        causes |= causeBit(kOtherFault);
         return RunStatus::Trap;
     } catch (const std::bad_alloc &) {
         // Injected/genuine allocation failure while building buffers:
         // an infrastructure fault, not evidence about the program.
+        causes |= causeBit(kOtherFault);
         return RunStatus::Trap;
     }
     state = fingerprint(buffers);
     return RunStatus::Ok;
 }
 
-} // namespace
-
-bool
-checkTermEquivalence(const TermPtr &lhs, const TermPtr &rhs,
-                     const VerifyOptions &options, std::string *diagnostic)
+/** A term check's verdict and what verifyRecords reports beside it. */
+struct TermCheck
 {
-    TermPtr lhs_statement = lhs, rhs_statement = rhs;
+    bool ok = true;
+    bool proved_identical = false;
+    unsigned causes = 0; ///< inconclusive causes hit, as bits
+};
+
+/** Turn a value-term pair into statements, in place, and unify the two
+ *  sides' specs; nullopt, with a diagnostic, when they cannot share one. */
+std::optional<sl::EmitSpec>
+unifySides(TermPtr &lhs, TermPtr &rhs, std::string *diagnostic)
+{
     if (!sl::isStatementSymbol(lhs->op())) {
         ir::Type type = typeOfValueTerm(lhs);
         if (type.isNone()) {
             if (diagnostic)
                 *diagnostic = "cannot type lhs value term";
-            return false;
+            return std::nullopt;
         }
-        lhs_statement = wrapValueTerm(lhs, type);
-        rhs_statement = wrapValueTerm(rhs, type);
+        lhs = wrapValueTerm(lhs, type);
+        rhs = wrapValueTerm(rhs, type);
     }
-    auto spec = unifySpecs(sl::inferSpec(lhs_statement, "check"),
-                           sl::inferSpec(rhs_statement, "check"));
+    auto spec = unifySpecs(sl::inferSpec(lhs, "check"),
+                           sl::inferSpec(rhs, "check"));
+    if (!spec && diagnostic)
+        *diagnostic = "argument type mismatch between sides";
+    return spec;
+}
+
+TermCheck
+checkTerms(const TermPtr &lhs, const TermPtr &rhs,
+           const VerifyOptions &options, std::string *diagnostic)
+{
+    TermCheck check;
+    TermPtr lhs_statement = lhs, rhs_statement = rhs;
+    std::optional<sl::EmitSpec> spec =
+        unifySides(lhs_statement, rhs_statement, diagnostic);
     if (!spec) {
+        check.ok = false;
+        return check;
+    }
+    if (options.runs <= 0 || options.exec.canceled()) {
+        if (options.exec.canceled())
+            check.causes |= causeBit(ir::TrapKind::Deadline);
         if (diagnostic)
-            *diagnostic = "argument type mismatch between sides";
-        return false;
+            *diagnostic = "<inconclusive>";
+        return check;
     }
 
     // Each side is lowered once; every run interprets the same module.
-    std::optional<ir::Module> lhs_module, rhs_module;
-    if (options.runs > 0 && !options.exec.canceled()) {
-        lhs_module = lowerTerm(lhs_statement, *spec);
-        rhs_module = lowerTerm(rhs_statement, *spec);
+    // Two identical programs agree on every input, so identity is a
+    // proof and nothing needs to run.
+    std::optional<ir::Module> lhs_module = lowerTerm(lhs_statement, *spec);
+    std::optional<ir::Module> rhs_module = lowerTerm(rhs_statement, *spec);
+    if (lhs_module && rhs_module && ir::identical(*lhs_module, *rhs_module)) {
+        check.proved_identical = true;
+        return check;
     }
     int conclusive = 0;
     for (int run = 0; run < options.runs; ++run) {
         // Cooperative cancellation between runs (and, via
         // InterpOptions::exec, inside them).
-        if (options.exec.canceled())
+        if (options.exec.canceled()) {
+            check.causes |= causeBit(ir::TrapKind::Deadline);
             break;
+        }
         uint64_t seed = options.seed + 7919 * run;
         std::vector<int64_t> lhs_state, rhs_state;
-        RunStatus ls = runTerm(lhs_module, *spec, seed, options, lhs_state);
-        RunStatus rs = runTerm(rhs_module, *spec, seed, options, rhs_state);
+        RunStatus ls = runTerm(lhs_module, *spec, seed, options,
+                               lhs_state, check.causes);
+        RunStatus rs = runTerm(rhs_module, *spec, seed, options,
+                               rhs_state, check.causes);
         if (ls == RunStatus::Canceled || rs == RunStatus::Canceled)
             break; // deadline expired mid-run: stop, stay inconclusive
         if (ls == RunStatus::Trap || rs == RunStatus::Trap)
@@ -247,12 +313,34 @@ checkTermEquivalence(const TermPtr &lhs, const TermPtr &rhs,
                               << "\n  lhs: " << lhs->str()
                               << "\n  rhs: " << rhs->str();
             }
-            return false;
+            check.ok = false;
+            return check;
         }
     }
     if (conclusive == 0 && diagnostic)
         *diagnostic = "<inconclusive>";
-    return true;
+    return check;
+}
+
+} // namespace
+
+bool
+checkTermEquivalence(const TermPtr &lhs, const TermPtr &rhs,
+                     const VerifyOptions &options, std::string *diagnostic)
+{
+    return checkTerms(lhs, rhs, options, diagnostic).ok;
+}
+
+std::optional<LoweredTerms>
+lowerTerms(const TermPtr &lhs, const TermPtr &rhs, std::string *diagnostic)
+{
+    TermPtr lhs_statement = lhs, rhs_statement = rhs;
+    std::optional<sl::EmitSpec> spec =
+        unifySides(lhs_statement, rhs_statement, diagnostic);
+    if (!spec)
+        return std::nullopt;
+    return LoweredTerms{lowerTerm(lhs_statement, *spec),
+                        lowerTerm(rhs_statement, *spec)};
 }
 
 VerifyReport
@@ -263,12 +351,17 @@ verifyRecords(const std::vector<eg::RewriteRecord> &records,
     for (const auto &record : records) {
         ++report.total_checks;
         std::string diagnostic;
-        bool ok = checkTermEquivalence(record.lhs, record.rhs, options,
-                                       &diagnostic);
-        if (ok && diagnostic == "<inconclusive>") {
+        TermCheck check = checkTerms(record.lhs, record.rhs, options,
+                                     &diagnostic);
+        if (check.ok && diagnostic == "<inconclusive>") {
             ++report.inconclusive;
-        } else if (ok) {
+            for (unsigned cause = 0; cause <= kOtherFault; ++cause) {
+                if (check.causes & causeBit(cause))
+                    ++report.inconclusive_causes[causeName(cause)];
+            }
+        } else if (check.ok) {
             ++report.passed;
+            report.proved_identical += check.proved_identical;
         } else if (report.failures.size() < options.max_failures) {
             report.failures.push_back(
                 MsgBuilder() << "rule '" << record.rule

@@ -8,11 +8,13 @@
  * checked by emitting both sides as snippet functions and co-executing
  * them on matched deterministic-random inputs; an end-to-end module
  * check closes the chain. A failing record names the offending rule.
+ * A check whose two sides emit identical IR is proved without running.
  */
 #ifndef SEER_CORE_VERIFY_H_
 #define SEER_CORE_VERIFY_H_
 
 #include <chrono>
+#include <map>
 #include <optional>
 
 #include "core/seer.h"
@@ -44,9 +46,20 @@ struct VerifyReport
 {
     size_t total_checks = 0;
     size_t passed = 0;
+    /** Passed checks whose two sides lowered to identical IR: a proof
+     *  on every input, with nothing interpreted. A subset of `passed`. */
+    size_t proved_identical = 0;
     /** Checks where one or both sides trapped on every input (treated
      *  as neither pass nor failure; reported for transparency). */
     size_t inconclusive = 0;
+    /**
+     * Per cause, the inconclusive checks whose runs hit it: an
+     * interpreter trap kind (ir::trapKindName; "deadline" is the
+     * caller's budget expiring), "unemittable" for a side that could
+     * not be lowered, or "other" for any other contained fault. A
+     * check counts once under each cause it hit.
+     */
+    std::map<std::string, size_t> inconclusive_causes;
     std::vector<std::string> failures;
 
     bool ok() const { return failures.empty(); }
@@ -56,10 +69,36 @@ struct VerifyReport
 VerifyReport verifyRecords(const std::vector<eg::RewriteRecord> &records,
                            const VerifyOptions &options = {});
 
-/** Check two terms for input/output + memory-state equivalence. */
+/**
+ * Check two terms for input/output + memory-state equivalence. Both
+ * sides are lowered once (see lowerTerms). When they lower to
+ * identical IR (ir::identical) the check is a proof: it returns true
+ * with the diagnostic untouched and interprets nothing, so a pair that
+ * traps on every input passes instead of being inconclusive. Otherwise
+ * both sides are co-simulated on `options.runs` seeded inputs. Nothing
+ * is lowered, and so nothing proved, when `options.runs` is 0 or the
+ * context is already canceled.
+ */
 bool checkTermEquivalence(const eg::TermPtr &lhs, const eg::TermPtr &rhs,
                           const VerifyOptions &options = {},
                           std::string *diagnostic = nullptr);
+
+/** The two sides of a term check as lowered for co-simulation. */
+struct LoweredTerms
+{
+    std::optional<ir::Module> lhs; ///< nullopt: cannot be emitted
+    std::optional<ir::Module> rhs;
+};
+
+/**
+ * Lower both sides as checkTermEquivalence does: a value term is
+ * wrapped as a store into a synthetic `__out` buffer, and both sides
+ * are emitted under one spec unified from their free names. Returns
+ * nullopt, with a diagnostic, when the sides cannot share a spec.
+ */
+std::optional<LoweredTerms> lowerTerms(const eg::TermPtr &lhs,
+                                       const eg::TermPtr &rhs,
+                                       std::string *diagnostic = nullptr);
 
 /**
  * Check two modules' functions on matched random workloads. `lhs` is the

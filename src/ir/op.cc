@@ -1,5 +1,8 @@
 #include "ir/op.h"
 
+#include <bit>
+#include <unordered_map>
+
 #include "support/error.h"
 
 namespace seer::ir {
@@ -305,6 +308,120 @@ countOps(const Module &module)
     size_t n = 0;
     walk(module, [&](Operation &) { ++n; });
     return n;
+}
+
+// --- Structural identity ------------------------------------------------
+
+namespace {
+
+/** Attribute equality as the interpreter reads it: a float compares by
+ *  its bits, so -0.0 differs from 0.0 and a NaN matches itself. */
+bool
+sameAttribute(const Attribute &a, const Attribute &b)
+{
+    if (a.isFloat() && b.isFloat()) {
+        return std::bit_cast<uint64_t>(a.asFloat()) ==
+               std::bit_cast<uint64_t>(b.asFloat());
+    }
+    return a == b;
+}
+
+/** `seer.` attributes annotate ops for the SEER flow (loop ids, buffer
+ *  tags, scheduling hints); the interpreter never reads them. */
+bool
+isAnnotation(const std::string &key)
+{
+    return key.starts_with("seer.");
+}
+
+bool
+sameAttributes(const AttrMap &a, const AttrMap &b)
+{
+    auto ia = a.begin(), ib = b.begin();
+    while (true) {
+        while (ia != a.end() && isAnnotation(ia->first))
+            ++ia;
+        while (ib != b.end() && isAnnotation(ib->first))
+            ++ib;
+        if (ia == a.end() || ib == b.end())
+            return ia == a.end() && ib == b.end();
+        if (ia->first != ib->first ||
+            !sameAttribute(ia->second, ib->second))
+            return false;
+        ++ia;
+        ++ib;
+    }
+}
+
+/** The lockstep walk behind identical(). `values_` maps each lhs value
+ *  to the rhs value defined at the same point of the walk. */
+class IdentityWalk
+{
+  public:
+    bool
+    sameOps(const Block::OpList &a, const Block::OpList &b)
+    {
+        if (a.size() != b.size())
+            return false;
+        for (auto ia = a.begin(), ib = b.begin(); ia != a.end();
+             ++ia, ++ib) {
+            if (!sameOp(**ia, **ib))
+                return false;
+        }
+        return true;
+    }
+
+  private:
+    bool
+    sameOp(const Operation &a, const Operation &b)
+    {
+        if (a.name() != b.name() || a.numOperands() != b.numOperands() ||
+            a.numResults() != b.numResults() ||
+            a.numRegions() != b.numRegions() ||
+            !sameAttributes(a.attrs(), b.attrs()))
+            return false;
+        for (size_t i = 0; i < a.numOperands(); ++i) {
+            auto it = values_.find(a.operand(i).impl());
+            if (it == values_.end() || it->second != b.operand(i).impl())
+                return false;
+        }
+        for (size_t i = 0; i < a.numResults(); ++i) {
+            if (a.result(i).type() != b.result(i).type())
+                return false;
+            values_.emplace(a.result(i).impl(), b.result(i).impl());
+        }
+        for (size_t i = 0; i < a.numRegions(); ++i) {
+            const Region &ra = a.region(i), &rb = b.region(i);
+            if (ra.empty() != rb.empty())
+                return false;
+            if (!ra.empty() && !sameBlock(ra.block(), rb.block()))
+                return false;
+        }
+        return true;
+    }
+
+    bool
+    sameBlock(const Block &a, const Block &b)
+    {
+        if (a.numArgs() != b.numArgs())
+            return false;
+        for (size_t i = 0; i < a.numArgs(); ++i) {
+            if (a.arg(i).type() != b.arg(i).type())
+                return false;
+            values_.emplace(a.arg(i).impl(), b.arg(i).impl());
+        }
+        return sameOps(a.ops(), b.ops());
+    }
+
+    std::unordered_map<const ValueImpl *, const ValueImpl *> values_;
+};
+
+} // namespace
+
+bool
+identical(const Module &lhs, const Module &rhs)
+{
+    return IdentityWalk().sameOps(lhs.ops(), rhs.ops());
 }
 
 } // namespace seer::ir

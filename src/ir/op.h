@@ -280,6 +280,18 @@ void walkPruned(Operation &root,
 /** Count all ops nested under the module (for stats). */
 size_t countOps(const Module &module);
 
+/**
+ * True when the two modules are the same program: the same ops in the
+ * same order, with equal names, attributes (floats compared bit for
+ * bit), result types, block-argument types and region shapes, and
+ * operands that name corresponding values. Values correspond by where
+ * the lockstep walk defines them. Name hints and `seer.` annotation
+ * attributes (loop ids, buffer tags, scheduling hints) are ignored:
+ * neither changes what the program computes. Exits at the first
+ * difference and builds no strings.
+ */
+bool identical(const Module &lhs, const Module &rhs);
+
 } // namespace seer::ir
 
 #endif // SEER_IR_OP_H_

@@ -12,6 +12,7 @@
 #include "egraph/runner.h"
 #include "ir/parser.h"
 #include "rover/rover.h"
+#include "seerlang/to_term.h"
 
 namespace seer::core {
 namespace {
@@ -165,6 +166,117 @@ TEST(TermEquivalenceTest, CounterexampleSeedIsPinned)
     EXPECT_FALSE(checkTermEquivalence(lhs, rhs, options, &diagnostic));
     EXPECT_EQ(diagnostic.substr(0, diagnostic.find('\n')),
               "counterexample at seed 48059");
+}
+
+// --- Identity proofs ----------------------------------------------------
+
+/** One memref store to `m`, each with its own tag. */
+std::string
+store(int tag, int value, int index)
+{
+    return "(memref.store:t" + std::to_string(81000 + tag) + " const:" +
+           std::to_string(value) + ":i32 arg:m:memref<4xi32> const:" +
+           std::to_string(index) + ":index)";
+}
+
+TEST(IdentityProofTest, SeqAssocIsProvedWithoutRunning)
+{
+    // seq-assoc's sides differ only in how `seq` nests, so they lower
+    // to the same IR. Under a one-step budget any run would trap, so an
+    // accepted check with an empty diagnostic was proved, not run.
+    eg::TermPtr lhs = parseTerm("(seq " + store(1, 1, 0) + " (seq " +
+                                store(2, 2, 1) + " " + store(3, 3, 2) +
+                                "))");
+    eg::TermPtr rhs = parseTerm("(seq (seq " + store(1, 1, 0) + " " +
+                                store(2, 2, 1) + ") " + store(3, 3, 2) +
+                                ")");
+    VerifyOptions options;
+    options.max_steps = 1;
+    std::string diagnostic;
+    EXPECT_TRUE(checkTermEquivalence(lhs, rhs, options, &diagnostic));
+    EXPECT_EQ(diagnostic, "");
+}
+
+TEST(IdentityProofTest, IdenticalPairThatAlwaysTrapsNowPasses)
+{
+    // Index 8 of a 4-element buffer traps on every input. This used to
+    // be inconclusive; identical sides are now a proof, because both
+    // trap (or not) together on every input.
+    eg::TermPtr lhs = parseTerm(store(1, 1, 8));
+    eg::TermPtr rhs = parseTerm(store(2, 1, 8));
+    std::string diagnostic;
+    EXPECT_TRUE(checkTermEquivalence(lhs, rhs, {}, &diagnostic));
+    EXPECT_EQ(diagnostic, "");
+    // A different store to the same bad index still has to run, and
+    // every run traps.
+    eg::TermPtr other = parseTerm(store(3, 2, 8));
+    EXPECT_TRUE(checkTermEquivalence(lhs, other, {}, &diagnostic));
+    EXPECT_EQ(diagnostic, "<inconclusive>");
+}
+
+TEST(IdentityProofTest, NonIdenticalPairStillRuns)
+{
+    // Swapped operands lower to different IR: the check co-simulates,
+    // and under a one-step budget every run traps.
+    eg::TermPtr lhs = parseTerm("(arith.addi:i32 arg:x:i32 arg:y:i32)");
+    eg::TermPtr rhs = parseTerm("(arith.addi:i32 arg:y:i32 arg:x:i32)");
+    VerifyOptions options;
+    options.max_steps = 1;
+    std::string diagnostic;
+    EXPECT_TRUE(checkTermEquivalence(lhs, rhs, options, &diagnostic));
+    EXPECT_EQ(diagnostic, "<inconclusive>");
+}
+
+TEST(IdentityProofTest, ReportCountsProofsAndInconclusiveCauses)
+{
+    VerifyOptions options;
+    options.max_steps = 1;
+    std::vector<eg::RewriteRecord> records = {
+        {"seq-assoc",
+         parseTerm("(seq " + store(1, 1, 0) + " (seq " + store(2, 2, 1) +
+                   " " + store(3, 3, 2) + "))"),
+         parseTerm("(seq (seq " + store(1, 1, 0) + " " + store(2, 2, 1) +
+                   ") " + store(3, 3, 2) + ")")},
+        {"comm-addi", parseTerm("(arith.addi:i32 arg:x:i32 arg:y:i32)"),
+         parseTerm("(arith.addi:i32 arg:y:i32 arg:x:i32)")},
+        // The rhs cannot be emitted; the lhs runs out of steps.
+        {"unemittable", parseTerm("(arith.addi:i32 arg:x:i32 const:1:i32)"),
+         parseTerm("(arith.addi:i32 arg:x:i32 nop)")},
+    };
+    VerifyReport report = verifyRecords(records, options);
+    EXPECT_TRUE(report.ok());
+    EXPECT_EQ(report.total_checks, 3u);
+    EXPECT_EQ(report.passed, 1u);
+    EXPECT_EQ(report.proved_identical, 1u);
+    EXPECT_EQ(report.inconclusive, 2u);
+    std::map<std::string, size_t> causes = {{"step_limit", 2},
+                                            {"unemittable", 1}};
+    EXPECT_EQ(report.inconclusive_causes, causes);
+}
+
+TEST(IdentityProofTest, PlantedSeqSwapStillFails)
+{
+    // (seq ?a ?b) -> (seq ?b ?a) reorders dependent statements of a
+    // kernel; its two sides differ, so the checks run and catch it.
+    const bench::Benchmark &kernel = bench::findBenchmark("seq_loops");
+    ir::Module module = bench::parseBenchmark(kernel);
+    EGraph egraph(rover::roverAnalysisHooks());
+    egraph.addTerm(sl::funcToTerm(*module.lookupFunc(kernel.func)).term);
+    eg::RunnerOptions runner_options;
+    runner_options.max_iters = 1;
+    Runner runner(egraph, runner_options);
+    runner.addRule(makeRewrite("planted-seq-swap", "(seq ?a ?b)",
+                               "(seq ?b ?a)"));
+    RunnerReport report = runner.run();
+    ASSERT_FALSE(report.records.empty());
+    VerifyReport verification = verifyRecords(report.records);
+    EXPECT_FALSE(verification.ok());
+    ASSERT_FALSE(verification.failures.empty());
+    EXPECT_NE(verification.failures[0].find("planted-seq-swap"),
+              std::string::npos);
+    EXPECT_NE(verification.failures[0].find("counterexample"),
+              std::string::npos)
+        << verification.failures[0];
 }
 
 TEST(ModuleEquivalenceTest, InputTrappingOnRandomInputsIsInconclusive)

@@ -450,9 +450,18 @@ main(int argc, char **argv)
                     core::verifyRecords(result.stats.records);
                 std::cerr << "; translation validation: "
                           << report.passed << "/"
-                          << report.total_checks << " passed, "
+                          << report.total_checks << " passed ("
+                          << report.proved_identical
+                          << " proved identical), "
                           << report.inconclusive << " inconclusive, "
                           << report.failures.size() << " failed\n";
+                if (report.inconclusive > 0) {
+                    std::cerr << "; inconclusive causes:";
+                    for (const auto &[cause, count] :
+                         report.inconclusive_causes)
+                        std::cerr << " " << cause << " " << count;
+                    std::cerr << "\n";
+                }
                 for (const std::string &failure : report.failures)
                     std::cerr << ";   " << failure << "\n";
                 if (!ok || !report.ok())
