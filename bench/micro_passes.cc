@@ -40,7 +40,7 @@ armOptions(bool cache, int jobs, const core::EvalCachePtr &shared)
     // Thorough-validation regime (Table 5's "Time in MLIR"-dominant
     // shape): more co-simulation runs per candidate make the external
     // evaluation the dominant exploration cost — exactly what the memo
-    // layer targets. The verification cache is keyed on this setting.
+    // layer targets. The pass-cache key carries this setting.
     options.validation_runs = 12;
     options.jobs = static_cast<unsigned>(jobs);
     if (cache)

@@ -14,13 +14,11 @@
 #include "ir/analysis.h"
 #include "ir/verifier.h"
 #include "passes/passes.h"
-#include "seerlang/canonical.h"
 #include "seerlang/encoding.h"
 #include "seerlang/from_term.h"
 #include "seerlang/to_term.h"
 #include "support/error.h"
 #include "support/fault_inject.h"
-#include "support/hashing.h"
 #include "support/worker_pool.h"
 
 namespace seer::core {
@@ -84,12 +82,11 @@ secondsSince(Clock::time_point &stamp)
 PassOutcome
 evaluateImpl(const TermPtr &term,
              const std::function<bool(ir::Operation &)> &transform,
-             const SnippetEvalConfig &config, ExternalEvalCache &cache,
+             const SnippetEvalConfig &config,
              ExternalEvalCache::EvalCharge &charge)
 {
     PassOutcome out;
     Clock::time_point stamp = Clock::now();
-    auto expired = [&config] { return config.exec.canceled(); };
 
     sl::EmitSpec spec = sl::inferSpec(term, "snippet");
     ir::Module snippet = sl::termToFunc(term, spec);
@@ -132,10 +129,9 @@ evaluateImpl(const TermPtr &term,
     // pass the structural verifier and the before/after terms must
     // co-simulate on deterministic pseudo-random inputs, or lower to
     // identical IR, which checkTermEquivalence accepts without a run.
-    // Equivalence verdicts are memoized: structurally identical
-    // (before, after) pairs under the same simulation budget share one
-    // co-simulation.
-    if (!expired()) {
+    // Anything not falsified is accepted; a verdict with no conclusive
+    // run is counted as gate_inconclusive.
+    if (!config.exec.canceled()) {
         std::string diag = ir::verify(snippet);
         if (!diag.empty()) {
             out.status = PassOutcome::Status::Rejected;
@@ -143,37 +139,19 @@ evaluateImpl(const TermPtr &term,
             charge.verify_seconds += secondsSince(stamp);
             return out;
         }
-        uint64_t vkey =
-            verifyKey(term, replacement, config.validation_runs,
-                      config.validation_seed, kValidationMaxSteps);
-        std::optional<VerifyVerdict> verdict = cache.lookupVerify(vkey);
-        if (!verdict) {
-            VerifyOptions verify_options;
-            verify_options.runs = config.validation_runs;
-            verify_options.seed = config.validation_seed;
-            verify_options.max_steps = kValidationMaxSteps;
-            verify_options.exec = config.exec;
-            std::string eq_diag;
-            bool ok = checkTermEquivalence(term, replacement,
-                                           verify_options, &eq_diag);
-            VerifyVerdict fresh;
-            fresh.result = !ok ? VerifyVerdict::Result::Mismatch
-                          : eq_diag == "<inconclusive>"
-                              ? VerifyVerdict::Result::Inconclusive
-                              : VerifyVerdict::Result::Equivalent;
-            fresh.diag = eq_diag;
-            // A verdict reached under an expired deadline reflects the
-            // budget, not the programs: never memoize it.
-            if (!expired())
-                cache.insertVerify(vkey, fresh);
-            verdict = fresh;
-        }
-        if (!verdict->accepted()) {
+        VerifyOptions verify_options;
+        verify_options.runs = config.validation_runs;
+        verify_options.seed = config.validation_seed;
+        verify_options.max_steps = kValidationMaxSteps;
+        verify_options.exec = config.exec;
+        if (!checkTermEquivalence(term, replacement, verify_options, &diag,
+                                  &charge.gate_inconclusive_causes)) {
             out.status = PassOutcome::Status::Rejected;
-            out.detail = "co-simulation mismatch: " + verdict->diag;
+            out.detail = "co-simulation mismatch: " + diag;
             charge.verify_seconds += secondsSince(stamp);
             return out;
         }
+        charge.gate_inconclusive = diag == "<inconclusive>";
     }
     charge.verify_seconds += secondsSince(stamp);
 
@@ -223,7 +201,7 @@ evaluateSnippet(const TermPtr &term, uint64_t key,
     ExternalEvalCache::EvalCharge charge;
     PassOutcome out;
     try {
-        out = evaluateImpl(term, transform, config, cache, charge);
+        out = evaluateImpl(term, transform, config, charge);
     } catch (const FatalError &) {
         out = PassOutcome{}; // untranslatable shape: rule does not apply
     } catch (const std::bad_alloc &) {
@@ -281,19 +259,6 @@ collectLoopIds(const TermPtr &term, std::vector<std::string> &out)
         collectLoopIds(child, out);
 }
 
-uint64_t
-verifyKey(const TermPtr &lhs, const TermPtr &rhs, int runs, uint64_t seed,
-          uint64_t max_steps)
-{
-    uint64_t h = hashString("seer.verify");
-    h = hashCombine(h, sl::canonicalTermHash(lhs));
-    h = hashCombine(h, sl::canonicalTermHash(rhs));
-    h = hashCombine(h, hashValue(static_cast<uint64_t>(runs)));
-    h = hashCombine(h, hashValue(seed));
-    h = hashCombine(h, hashValue(max_steps));
-    return h;
-}
-
 // --- ExternalEvalCache ----------------------------------------------------
 
 namespace {
@@ -310,23 +275,14 @@ outcomeBytes(const PassOutcome &outcome)
     return bytes;
 }
 
-constexpr int64_t kVerdictBytes = 96;
-
-/** Mutex stripes per store: enough that -j workers rarely contend. */
+/** Mutex stripes: enough that -j workers rarely contend. */
 constexpr unsigned kCacheShards = 16;
-
-int64_t
-verdictBytes(const VerifyVerdict &verdict)
-{
-    return kVerdictBytes + static_cast<int64_t>(verdict.diag.size());
-}
 
 } // namespace
 
 ExternalEvalCache::ExternalEvalCache(bool persistent)
     : persistent_(persistent),
-      pass_(kCacheShards, [this](int64_t delta) { charge(delta); }),
-      verify_(kCacheShards, [this](int64_t delta) { charge(delta); })
+      pass_(kCacheShards, [this](int64_t delta) { charge(delta); })
 {}
 
 void
@@ -344,18 +300,13 @@ ExternalEvalCache::charge(int64_t delta)
 }
 
 std::optional<PassOutcome>
-ExternalEvalCache::lookupPass(uint64_t key, bool count)
+ExternalEvalCache::lookupPass(uint64_t key)
 {
     // Chaos: a corrupted cache read surfaces as a miss — the entry is
     // re-evaluated from scratch, never trusted.
     if (faultFire(FaultPoint::CacheRead))
         return std::nullopt;
-    std::optional<PassOutcome> found = pass_.lookup(key);
-    if (found && count) {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.pass_cache_hits;
-    }
-    return found;
+    return pass_.lookup(key);
 }
 
 bool
@@ -373,39 +324,20 @@ ExternalEvalCache::probePass(uint64_t key)
 void
 ExternalEvalCache::insertPass(uint64_t key, PassOutcome outcome)
 {
-    int64_t bytes = outcomeBytes(outcome);
-    pass_.insert(key, std::move(outcome), bytes);
-}
-
-std::optional<VerifyVerdict>
-ExternalEvalCache::lookupVerify(uint64_t key)
-{
-    std::optional<VerifyVerdict> found = verify_.lookup(key);
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    if (found)
-        ++stats_.verify_cache_hits;
-    else
-        ++stats_.verify_cache_misses;
-    return found;
-}
-
-void
-ExternalEvalCache::insertVerify(uint64_t key, VerifyVerdict verdict)
-{
-    // Chaos: memoizing this verdict fails to allocate. Contained by
-    // evaluateSnippet's allocation guard — the evaluation is discarded
-    // (never half-cached) and the caller treats it as canceled.
+    // Chaos: memoizing this outcome fails to allocate. Nothing is half
+    // cached: evaluateBatch drops the outcome (the serial consult then
+    // re-evaluates inline), and on the consult path the runner contains
+    // it as a failed application.
     if (faultFire(FaultPoint::CacheAlloc))
         throw std::bad_alloc();
-    int64_t bytes = verdictBytes(verdict);
-    verify_.insert(key, std::move(verdict), bytes);
+    int64_t bytes = outcomeBytes(outcome);
+    pass_.insert(key, std::move(outcome), bytes);
 }
 
 void
 ExternalEvalCache::clearOutcomes()
 {
     pass_.clear();
-    verify_.clear();
 }
 
 void
@@ -436,22 +368,18 @@ ExternalEvalCache::chargeEvaluation(const EvalCharge &charge)
 {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.evaluations;
-    if (charge.canceled)
+    if (charge.canceled) {
         ++stats_.canceled;
+    } else if (charge.gate_inconclusive) {
+        ++stats_.gate_inconclusive;
+        for (const std::string &cause : charge.gate_inconclusive_causes)
+            ++stats_.gate_inconclusive_causes[cause];
+    }
     stats_.emit_seconds += charge.emit_seconds;
     stats_.pass_seconds += charge.pass_seconds;
     stats_.translate_seconds += charge.translate_seconds;
     stats_.verify_seconds += charge.verify_seconds;
     stats_.schedule_seconds += charge.schedule_seconds;
-}
-
-double
-ExternalEvalCache::evalSeconds() const
-{
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    return stats_.emit_seconds + stats_.pass_seconds +
-           stats_.translate_seconds + stats_.verify_seconds +
-           stats_.schedule_seconds;
 }
 
 ExternalEvalStats
@@ -462,9 +390,8 @@ ExternalEvalCache::stats() const
         std::lock_guard<std::mutex> lock(stats_mutex_);
         out = stats_;
     }
-    out.resident_entries = pass_.size() + verify_.size();
-    out.resident_bytes =
-        static_cast<uint64_t>(pass_.bytes() + verify_.bytes());
+    out.resident_entries = pass_.size();
+    out.resident_bytes = static_cast<uint64_t>(pass_.bytes());
     return out;
 }
 
@@ -648,15 +575,13 @@ ExternalEvalCache::loadFile(const std::string &path, std::string *error)
 
     auto corrupt = [&](const std::string &why) -> size_t {
         pass_.clear();
-        verify_.clear();
         // Honest cold-start accounting: count the record lines the
         // rejected file carried, so the stats section reports how much
         // memoized work was thrown away instead of a silent zero.
         size_t rejected = 0;
         size_t pos = 0;
         while (pos < content.size()) {
-            if (content.compare(pos, 2, "P ") == 0 ||
-                content.compare(pos, 2, "V ") == 0)
+            if (content.compare(pos, 2, "P ") == 0)
                 ++rejected;
             size_t nl = content.find('\n', pos);
             if (nl == std::string::npos)
@@ -699,7 +624,6 @@ ExternalEvalCache::loadFile(const std::string &path, std::string *error)
         return corrupt("bad header");
 
     std::unordered_map<uint64_t, PassOutcome> pass;
-    std::unordered_map<uint64_t, VerifyVerdict> verify;
     size_t line_no = 1;
     while (std::getline(in, line)) {
         ++line_no;
@@ -755,32 +679,18 @@ ExternalEvalCache::loadFile(const std::string &path, std::string *error)
                 outcome.schedule.emplace_back(id, entry);
             }
             pass.insert_or_assign(key, std::move(outcome));
-        } else if (tag == "V") {
-            std::string key_field, diag_field;
-            int result = 0;
-            if (!(fields >> key_field >> result >> diag_field))
-                return bad();
-            uint64_t key = 0;
-            if (!parseU64Hex(key_field, &key) || result < 0 ||
-                result > 2)
-                return bad();
-            VerifyVerdict verdict;
-            verdict.result = static_cast<VerifyVerdict::Result>(result);
-            if (!unescapeField(diag_field, &verdict.diag))
-                return bad();
-            verify.insert_or_assign(key, verdict);
-        } else {
+        } else if (tag != "V") {
+            // "V" lines, the equivalence verdicts older files also
+            // memoized, are skipped: the next save drops them.
             return bad();
         }
     }
 
-    size_t loaded = pass.size() + verify.size();
+    size_t loaded = pass.size();
     for (auto &[key, outcome] : pass) {
         int64_t bytes = outcomeBytes(outcome);
         pass_.insert(key, std::move(outcome), bytes);
     }
-    for (auto &[key, verdict] : verify)
-        verify_.insert(key, verdict, verdictBytes(verdict));
     std::lock_guard<std::mutex> lock(stats_mutex_);
     stats_.disk_entries_loaded = loaded;
     stats_.disk_load_error.clear();
@@ -796,7 +706,7 @@ ExternalEvalCache::saveFile(const std::string &path,
     // Serialize the body in memory first: the checksum covers every
     // byte that will precede it, and the file is then written in one
     // stream without interleaved reads of mutable state. forEachSorted
-    // snapshots each store and iterates in sorted key order, so the
+    // snapshots the store and iterates in sorted key order, so the
     // artifact is byte-stable across runs — and across save → load →
     // save round trips, whatever order the entries arrived in.
     std::ostringstream out;
@@ -811,12 +721,6 @@ ExternalEvalCache::saveFile(const std::string &path,
             << ' ' << outcome.schedule.size() << '\n';
         for (const auto &[id, entry] : outcome.schedule)
             writeEntry(out, id, entry);
-    });
-    verify_.forEachSorted([&](uint64_t key,
-                              const VerifyVerdict &verdict) {
-        out << "V " << keyHex(key) << ' '
-            << static_cast<int>(verdict.result) << ' '
-            << escapeField(verdict.diag) << '\n';
     });
     std::string body = out.str();
 
@@ -862,13 +766,16 @@ toJson(const ExternalEvalStats &stats)
     json::Value out{json::Object{}};
     out.set("pass_cache_hits", stats.pass_cache_hits);
     out.set("pass_cache_misses", stats.pass_cache_misses);
-    out.set("verify_cache_hits", stats.verify_cache_hits);
-    out.set("verify_cache_misses", stats.verify_cache_misses);
     out.set("candidates_deduped", stats.candidates_deduped);
     out.set("evaluations", stats.evaluations);
     out.set("batches", stats.batches);
     out.set("batch_jobs", stats.batch_jobs);
     out.set("canceled", stats.canceled);
+    out.set("gate_inconclusive", stats.gate_inconclusive);
+    json::Value causes{json::Object{}};
+    for (const auto &[cause, count] : stats.gate_inconclusive_causes)
+        causes.set(cause, count);
+    out.set("gate_inconclusive_causes", std::move(causes));
     out.set("emit_seconds", stats.emit_seconds);
     out.set("pass_seconds", stats.pass_seconds);
     out.set("translate_seconds", stats.translate_seconds);

@@ -9,11 +9,12 @@
  * runner iterations and phases. This layer makes that stage a *pure
  * function* of its inputs and exploits it twice over:
  *
- *  - a content-addressed, two-level cache: pass outcomes keyed by the
- *    alpha-canonical snippet hash (+ rule + evaluation config), and
- *    equivalence verdicts keyed by (before, after, seed, runs), with
+ *  - a content-addressed cache of pass outcomes keyed by the
+ *    alpha-canonical snippet hash (+ rule + evaluation config), with
  *    optional on-disk persistence so repeated benchmark runs start
- *    warm;
+ *    warm. A miss runs the whole pipeline, validation gate included;
+ *    the gate's verdicts are not memoized on their own (a fresh
+ *    evaluation's (before, after) pair never recurs: see DESIGN.md);
  *  - a deterministic worker pool: per runner iteration, candidate
  *    snippets are collected, deduped, and evaluated on N threads, then
  *    consumed serially in canonical candidate order.
@@ -31,6 +32,7 @@
 
 #include <chrono>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -72,28 +74,11 @@ struct PassOutcome
     std::vector<std::pair<std::string, LoopRegistryEntry>> schedule;
 };
 
-/** Cached tri-state verdict of one equivalence check. */
-struct VerifyVerdict
-{
-    enum class Result : uint8_t {
-        Equivalent = 0,
-        Inconclusive = 1, ///< nothing falsified (every run trapped)
-        Mismatch = 2,
-    };
-    Result result = Result::Equivalent;
-    std::string diag; ///< counterexample / trap diagnostic
-
-    /** The validation gate accepts anything not falsified. */
-    bool accepted() const { return result != Result::Mismatch; }
-};
-
 /** Counters and per-stage timing of the evaluation layer. */
 struct ExternalEvalStats
 {
     size_t pass_cache_hits = 0;
     size_t pass_cache_misses = 0;
-    size_t verify_cache_hits = 0;
-    size_t verify_cache_misses = 0;
     /** Structurally identical candidates folded within one batch. */
     size_t candidates_deduped = 0;
     /** Cold pipelines actually run (pass executions). */
@@ -108,6 +93,16 @@ struct ExternalEvalStats
     size_t batch_workers = 0;
     /** Evaluations cut short by the cooperative deadline (uncached). */
     size_t canceled = 0;
+    /**
+     * Gate verdicts accepted with no conclusive co-simulation run
+     * (every run trapped): nothing was falsified, so the replacement
+     * was kept, but nothing was shown either. Canceled evaluations are
+     * not counted.
+     */
+    size_t gate_inconclusive = 0;
+    /** Per cause, the inconclusive gate verdicts that hit it (the
+     *  names of VerifyReport::inconclusive_causes). */
+    std::map<std::string, size_t> gate_inconclusive_causes;
     // Per-stage seconds, summed over evaluations (CPU-parallel stages
     // can sum to more than the wall clock).
     double emit_seconds = 0;      ///< term -> IR snippet emission
@@ -134,7 +129,7 @@ struct ExternalEvalStats
 json::Value toJson(const ExternalEvalStats &stats);
 
 /**
- * The two-level evaluation cache, held in a mutex-striped concurrent
+ * The pass-outcome cache, held in a mutex-striped concurrent
  * store (support/striped_map.h). Thread-safe: the prepare stage's
  * worker pool inserts concurrently while stats accumulate — lookups on
  * distinct shards never contend.
@@ -158,15 +153,13 @@ class ExternalEvalCache
      *  per-entry byte estimates; credited back on clearOutcomes). */
     void setExecContext(const ExecContext &exec);
 
-    /** Pass-outcome lookup. `count` tallies a hit in the stats. */
-    std::optional<PassOutcome> lookupPass(uint64_t key,
-                                          bool count = false);
+    /** Pass-outcome lookup; counts nothing. */
+    std::optional<PassOutcome> lookupPass(uint64_t key);
     /** True when `key` has an outcome; counts a hit or a miss. */
     bool probePass(uint64_t key);
+    /** Memoize an outcome. May throw std::bad_alloc (the `cache-alloc`
+     *  fault point); the outcome is then simply not cached. */
     void insertPass(uint64_t key, PassOutcome outcome);
-
-    std::optional<VerifyVerdict> lookupVerify(uint64_t key);
-    void insertVerify(uint64_t key, VerifyVerdict verdict);
 
     /** Drop memoized outcomes (ephemeral mode's iteration boundary). */
     void clearOutcomes();
@@ -183,17 +176,20 @@ class ExternalEvalCache
         double verify_seconds = 0;
         double schedule_seconds = 0;
         bool canceled = false;
+        /** The gate accepted with no conclusive run, for these causes. */
+        bool gate_inconclusive = false;
+        std::vector<std::string> gate_inconclusive_causes;
     };
     void chargeEvaluation(const EvalCharge &charge);
-    /** Total seconds across all evaluation stages so far. */
-    double evalSeconds() const;
     ExternalEvalStats stats() const;
 
     // --- persistence ----------------------------------------------------
     /**
-     * Load a persisted cache. Returns the number of entries adopted;
-     * 0 with *error set when the file is unreadable or corrupt — the
-     * cache is then left empty (cold start), never half-loaded. Files
+     * Load a persisted cache. Returns the number of outcomes adopted
+     * (the `V` verdict records older files carry are skipped, not
+     * counted); 0 with *error set when the file is unreadable or
+     * corrupt — the cache is then left empty (cold start), never
+     * half-loaded. Files
      * must carry a valid trailing checksum line; a truncated or torn
      * file is rejected as corrupt, never partially adopted.
      */
@@ -212,7 +208,6 @@ class ExternalEvalCache
 
     bool persistent_;
     StripedMap<PassOutcome> pass_;
-    StripedMap<VerifyVerdict> verify_;
     /** Guards the counters + timing accumulators. */
     mutable std::mutex stats_mutex_;
     ExternalEvalStats stats_;
@@ -240,7 +235,7 @@ struct SnippetEvalConfig
  * Run the pure snippet -> pass -> verify -> schedule pipeline on
  * `term`. `key` seeds the deterministic name scope (pass the full
  * cache key so distinct rules/configs draw distinct name streams) and
- * `cache` serves the verification sub-cache and accumulates stats.
+ * `cache` accumulates stats.
  *
  * Returns nullopt when the context was canceled mid-evaluation
  * (deadline, memory budget, signal): a truncated result is
@@ -279,14 +274,6 @@ void evaluateBatch(const std::vector<EvalBatchItem> &batch,
 /** Append the loop ids of every affine.for in `term`, pre-order. */
 void collectLoopIds(const eg::TermPtr &term,
                     std::vector<std::string> &out);
-
-/**
- * Equivalence-verdict key: alpha-canonical hashes of both sides plus
- * the simulation budget. Alpha-equivalent pairs share verdicts — a
- * bound-name renaming cannot change interpreter semantics.
- */
-uint64_t verifyKey(const eg::TermPtr &lhs, const eg::TermPtr &rhs,
-                   int runs, uint64_t seed, uint64_t max_steps);
 
 } // namespace seer::core
 

@@ -61,14 +61,17 @@ evalStatsDelta(const ExternalEvalStats &now, const ExternalEvalStats &base)
     ExternalEvalStats d = now;
     d.pass_cache_hits -= base.pass_cache_hits;
     d.pass_cache_misses -= base.pass_cache_misses;
-    d.verify_cache_hits -= base.verify_cache_hits;
-    d.verify_cache_misses -= base.verify_cache_misses;
     d.candidates_deduped -= base.candidates_deduped;
     d.evaluations -= base.evaluations;
     d.batches -= base.batches;
     d.batch_jobs -= base.batch_jobs;
     d.batch_workers -= base.batch_workers;
     d.canceled -= base.canceled;
+    d.gate_inconclusive -= base.gate_inconclusive;
+    for (const auto &[cause, count] : base.gate_inconclusive_causes) {
+        if ((d.gate_inconclusive_causes[cause] -= count) == 0)
+            d.gate_inconclusive_causes.erase(cause);
+    }
     d.emit_seconds -= base.emit_seconds;
     d.pass_seconds -= base.pass_seconds;
     d.translate_seconds -= base.translate_seconds;

@@ -87,8 +87,8 @@ struct SeerOptions
     /** Co-simulation runs of the validation gate that every
      *  external-pass result must pass (the verifier + a before/after
      *  co-simulation) before it is unioned. More runs = a stronger gate
-     *  and more interpreter time; the verification cache is keyed on
-     *  this, so changing it never reuses stale verdicts. */
+     *  and more interpreter time; the pass-cache key carries this, so
+     *  changing it never reuses an outcome gated under another. */
     int validation_runs = 2;
     /** Seed of the validation input generator (cache-keyed). */
     uint64_t validation_seed = 0x5EEE;

@@ -188,6 +188,18 @@ causeName(unsigned cause)
     return ir::trapKindName(static_cast<ir::TrapKind>(cause));
 }
 
+/** The names of the causes set in `causes`, in cause order. */
+std::vector<const char *>
+causeNames(unsigned causes)
+{
+    std::vector<const char *> names;
+    for (unsigned cause = 0; cause <= kOtherFault; ++cause) {
+        if (causes & causeBit(cause))
+            names.push_back(causeName(cause));
+    }
+    return names;
+}
+
 /** Execute a lowered term on the given argument seed; a term that
  *  could not be emitted traps. Each trap adds its cause to `causes`. */
 RunStatus
@@ -326,9 +338,17 @@ checkTerms(const TermPtr &lhs, const TermPtr &rhs,
 
 bool
 checkTermEquivalence(const TermPtr &lhs, const TermPtr &rhs,
-                     const VerifyOptions &options, std::string *diagnostic)
+                     const VerifyOptions &options, std::string *diagnostic,
+                     std::vector<std::string> *inconclusive_causes)
 {
-    return checkTerms(lhs, rhs, options, diagnostic).ok;
+    std::string local;
+    std::string &diag = diagnostic ? *diagnostic : local;
+    TermCheck check = checkTerms(lhs, rhs, options, &diag);
+    if (check.ok && diag == "<inconclusive>" && inconclusive_causes) {
+        for (const char *name : causeNames(check.causes))
+            inconclusive_causes->emplace_back(name);
+    }
+    return check.ok;
 }
 
 std::optional<LoweredTerms>
@@ -355,10 +375,8 @@ verifyRecords(const std::vector<eg::RewriteRecord> &records,
                                      &diagnostic);
         if (check.ok && diagnostic == "<inconclusive>") {
             ++report.inconclusive;
-            for (unsigned cause = 0; cause <= kOtherFault; ++cause) {
-                if (check.causes & causeBit(cause))
-                    ++report.inconclusive_causes[causeName(cause)];
-            }
+            for (const char *name : causeNames(check.causes))
+                ++report.inconclusive_causes[name];
         } else if (check.ok) {
             ++report.passed;
             report.proved_identical += check.proved_identical;

@@ -77,11 +77,14 @@ VerifyReport verifyRecords(const std::vector<eg::RewriteRecord> &records,
  * traps on every input passes instead of being inconclusive. Otherwise
  * both sides are co-simulated on `options.runs` seeded inputs. Nothing
  * is lowered, and so nothing proved, when `options.runs` is 0 or the
- * context is already canceled.
+ * context is already canceled. When the check accepts with no
+ * conclusive run, `inconclusive_causes` (if given) receives the causes
+ * hit, named as in VerifyReport::inconclusive_causes.
  */
-bool checkTermEquivalence(const eg::TermPtr &lhs, const eg::TermPtr &rhs,
-                          const VerifyOptions &options = {},
-                          std::string *diagnostic = nullptr);
+bool checkTermEquivalence(
+    const eg::TermPtr &lhs, const eg::TermPtr &rhs,
+    const VerifyOptions &options = {}, std::string *diagnostic = nullptr,
+    std::vector<std::string> *inconclusive_causes = nullptr);
 
 /** The two sides of a term check as lowered for co-simulation. */
 struct LoweredTerms

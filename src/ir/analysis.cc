@@ -13,16 +13,6 @@ LinearExpr::coeff(Value v) const
     return it == coeffs.end() ? 0 : it->second;
 }
 
-bool
-LinearExpr::dependsOnlyOn(Value iv) const
-{
-    for (const auto &[base, coeff] : coeffs) {
-        if (base != iv.impl() && coeff != 0)
-            return false;
-    }
-    return true;
-}
-
 LinearExpr
 LinearExpr::operator+(const LinearExpr &other) const
 {

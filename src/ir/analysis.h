@@ -32,9 +32,6 @@ struct LinearExpr
     /** Coefficient of `v` (0 if absent). */
     int64_t coeff(Value v) const;
 
-    /** True if the only base (if any) is `iv`. */
-    bool dependsOnlyOn(Value iv) const;
-
     LinearExpr operator+(const LinearExpr &other) const;
     LinearExpr operator-(const LinearExpr &other) const;
     LinearExpr scaled(int64_t factor) const;

@@ -295,11 +295,4 @@ isTerminator(const Operation &op)
     return opInfo(op.name()).isTerminator;
 }
 
-bool
-isPureDatapathOp(const Operation &op)
-{
-    const OpInfo &info = opInfo(op.name());
-    return info.isPure && op.numRegions() == 0 && op.numResults() == 1;
-}
-
 } // namespace seer::ir

@@ -168,9 +168,6 @@ std::optional<int64_t> constantTripCount(const Operation &for_op);
 /** True for ops that must appear last in their block. */
 bool isTerminator(const Operation &op);
 
-/** True for pure, region-free, single-result ops (datapath material). */
-bool isPureDatapathOp(const Operation &op);
-
 } // namespace seer::ir
 
 #endif // SEER_IR_OPS_H_

@@ -69,35 +69,4 @@ numRealOps(const Block &block)
     return n;
 }
 
-bool
-hasNestedControlFlow(const Block &block)
-{
-    for (const auto &op : block.ops()) {
-        if (opInfo(op->name()).isControlFlow)
-            return true;
-    }
-    return false;
-}
-
-Value
-materializeBound(OpBuilder &builder, const AffineBound &bound)
-{
-    Value acc;
-    for (const auto &[value, coeff] : bound.terms) {
-        Value term = value;
-        if (coeff != 1) {
-            Value c = builder.indexConstant(coeff);
-            term = builder.binary(opnames::kMulI, value, c);
-        }
-        acc = acc ? builder.binary(opnames::kAddI, acc, term) : term;
-    }
-    if (!acc)
-        return builder.indexConstant(bound.constant);
-    if (bound.constant != 0) {
-        Value c = builder.indexConstant(bound.constant);
-        acc = builder.binary(opnames::kAddI, acc, c);
-    }
-    return acc;
-}
-
 } // namespace seer::passes

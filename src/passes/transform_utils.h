@@ -29,13 +29,6 @@ bool sameAddress(const ir::Operation &a, const ir::Operation &b);
 /** Number of non-terminator ops in a block. */
 size_t numRealOps(const ir::Block &block);
 
-/** True if the block contains any control-flow or while op. */
-bool hasNestedControlFlow(const ir::Block &block);
-
-/** Materialize an AffineBound as explicit index arithmetic. */
-ir::Value materializeBound(ir::OpBuilder &builder,
-                           const ir::AffineBound &bound);
-
 } // namespace seer::passes
 
 #endif // SEER_PASSES_TRANSFORM_UTILS_H_

@@ -43,12 +43,6 @@ class Translator
         return std::move(out_);
     }
 
-    TermPtr
-    translateStatementOnly(Operation &op)
-    {
-        return translateStatement(op);
-    }
-
   private:
     TermPtr
     translateBlock(Block &block)
@@ -295,15 +289,6 @@ Translation
 funcToTerm(Operation &func)
 {
     return Translator().run(func);
-}
-
-TermPtr
-statementToTerm(Operation &op)
-{
-    Translator translator;
-    // Map enclosing func args / loop ivs are not available here; this
-    // entry point is for self-contained statements in tests.
-    return translator.translateStatementOnly(op);
 }
 
 } // namespace seer::sl

@@ -36,9 +36,6 @@ struct Translation
  */
 Translation funcToTerm(ir::Operation &func);
 
-/** Translate a standalone statement op (loop/if/...) for tests. */
-eg::TermPtr statementToTerm(ir::Operation &op);
-
 } // namespace seer::sl
 
 #endif // SEER_SEERLANG_TO_TERM_H_

@@ -120,6 +120,14 @@ TEST(NoThrowContractTest, OptimizeSurvivesEveryInjectionPoint)
                 << plan.str();
             EXPECT_EQ(ir::verify(result.module), "")
                 << plan.str() << "\n" << ir::toString(result.module);
+            // The eval-cache insert is reached on every outcome, so
+            // the armed hit index must actually fire.
+            if (static_cast<FaultPoint>(i) == FaultPoint::CacheAlloc) {
+                EXPECT_GE(FaultInjector::instance().hits(
+                              FaultPoint::CacheAlloc),
+                          nth)
+                    << plan.str();
+            }
         }
     }
 }

@@ -344,5 +344,30 @@ TEST(CertificateTest, RecordsCoverTheExtractionPath)
         EXPECT_TRUE(names.count(record.rule)) << record.rule;
 }
 
+TEST(GateVerdictTest, InconclusiveGateVerdictsAreCountedPerCause)
+{
+    // Some of md_knn's external-pass candidates read memrefs that the
+    // gate's random index arguments overrun, so every run traps and
+    // the replacement is accepted without a conclusive run. Those
+    // verdicts are counted per cause, and the count is a function of
+    // the input and options alone: -j must not change it.
+    const bench::Benchmark &knn = bench::findBenchmark("md_knn");
+    ir::Module input = bench::parseBenchmark(knn);
+    std::vector<ExternalEvalStats> runs;
+    for (unsigned jobs : {1u, 4u}) {
+        SeerOptions options;
+        options.runner.time_limit_seconds = 100000;
+        options.jobs = jobs;
+        runs.push_back(optimize(input, knn.func, options)
+                           .stats.external_eval);
+    }
+    EXPECT_GT(runs[0].gate_inconclusive, 0u);
+    EXPECT_GT(runs[0].gate_inconclusive_causes.count("out_of_bounds"),
+              0u);
+    EXPECT_EQ(runs[0].gate_inconclusive, runs[1].gate_inconclusive);
+    EXPECT_EQ(runs[0].gate_inconclusive_causes,
+              runs[1].gate_inconclusive_causes);
+}
+
 } // namespace
 } // namespace seer::core

@@ -79,16 +79,17 @@ usage()
         "  --report           print before/after HLS PPA estimates\n"
         "  --stats FILE       write per-rule/per-iteration scheduler\n"
         "                     stats as JSON (FILE '-' = stderr); the\n"
-        "                     external_eval section reports pass/verify\n"
-        "                     cache hit rates and per-stage timing\n"
+        "                     external_eval section reports pass-cache\n"
+        "                     hit rates, inconclusive gate verdicts\n"
+        "                     and per-stage timing\n"
         "  -j, --jobs N       worker threads for external-pass\n"
         "                     evaluation; results are bit-identical\n"
         "                     for every N (default 1)\n"
         << seer::cli::scheduleFlagsUsage() <<
-        "  --pass-cache FILE  persist the pass-outcome/verification\n"
-        "                     cache across runs (loaded at start, saved\n"
-        "                     at exit unless nothing new was learned;\n"
-        "                     a corrupt file cold-starts)\n"
+        "  --pass-cache FILE  persist the pass-outcome cache across\n"
+        "                     runs (loaded at start, saved at exit\n"
+        "                     unless nothing new was learned; a\n"
+        "                     corrupt file cold-starts)\n"
         "  --no-pass-cache    disable cross-iteration memoization of\n"
         "                     external-pass outcomes (cold baseline;\n"
         "                     the optimization result is identical)\n"
@@ -346,7 +347,7 @@ printRunSummary(const seer::core::SeerResult &result)
     out << "; pass cache: " << ev.pass_cache_hits << " hits, "
         << ev.pass_cache_misses << " misses, " << ev.evaluations
         << " evaluations (" << ev.candidates_deduped << " deduped, "
-        << ev.verify_cache_hits << " verify hits)\n";
+        << ev.gate_inconclusive << " gate-inconclusive)\n";
 }
 
 /** The end-to-end equivalence line of --verify: PASS, FAIL <why>, or
