@@ -304,26 +304,29 @@ consultSnippet(const ContextPtr &ctx, const SnippetRuleSpec &rule,
         candidateInfo(*ctx, rule, term);
     uint64_t key = info.key;
     ExternalEvalCache &cache = *ctx->eval_cache;
-    std::optional<PassOutcome> outcome = cache.lookupPass(key);
-    bool from_cache = outcome.has_value();
+    const PassOutcome *outcome = cache.lookupPass(key);
+    bool from_cache = outcome != nullptr;
     bool inline_eval = false;
+    std::optional<PassOutcome> fresh;
     if (!outcome) {
         // The prepare stage missed this candidate (extraction can drift
         // as earlier applications mutate the e-graph): evaluate inline.
         // Same key, same name scope — the result is byte-identical to
         // what the pool would have produced.
-        cache.countMiss();
+        ++cache.counters().pass_cache_misses;
         inline_eval = true;
         auto t0 = Clock::now();
-        outcome = evaluateSnippet(term, key, rule.transform, ctx->eval,
-                                  cache);
+        EvalCharge charge;
+        fresh = evaluateSnippet(term, key, rule.transform, ctx->eval,
+                                charge);
+        cache.chargeEvaluation(charge);
         ctx->mlir_seconds +=
             std::chrono::duration<double>(Clock::now() - t0).count();
-        if (outcome)
-            cache.insertPass(key, *outcome);
+        if (!fresh)
+            return std::nullopt; // evaluation canceled: not an outcome
+        cache.insertPass(key, *fresh);
+        outcome = &*fresh;
     }
-    if (!outcome)
-        return std::nullopt; // evaluation canceled: not an outcome
 
     {
         ProposalCandidate candidate;
@@ -438,7 +441,7 @@ makeSnippetRule(ContextPtr ctx, SnippetRuleSpec spec)
                     candidateInfo(*ctx, spec, term);
                 uint64_t key = info.key;
                 if (!seen.insert(key).second) {
-                    cache.countDeduped(1);
+                    ++cache.counters().candidates_deduped;
                     continue;
                 }
                 if (!cache.probePass(key)) {

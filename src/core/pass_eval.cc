@@ -82,8 +82,7 @@ secondsSince(Clock::time_point &stamp)
 PassOutcome
 evaluateImpl(const TermPtr &term,
              const std::function<bool(ir::Operation &)> &transform,
-             const SnippetEvalConfig &config,
-             ExternalEvalCache::EvalCharge &charge)
+             const SnippetEvalConfig &config, EvalCharge &charge)
 {
     PassOutcome out;
     Clock::time_point stamp = Clock::now();
@@ -185,7 +184,7 @@ evaluateImpl(const TermPtr &term,
 std::optional<PassOutcome>
 evaluateSnippet(const TermPtr &term, uint64_t key,
                 const std::function<bool(ir::Operation &)> &transform,
-                const SnippetEvalConfig &config, ExternalEvalCache &cache)
+                const SnippetEvalConfig &config, EvalCharge &charge)
 {
     // Purity: all fresh names drawn below (back-translation tags, loop
     // ids, the equivalence checker's synthetic outputs) come from a
@@ -198,25 +197,20 @@ evaluateSnippet(const TermPtr &term, uint64_t key,
     // rules quarantine a repeatedly crashing pass).
     if (faultFire(FaultPoint::PassEvalCrash))
         throw FatalError("injected pass-evaluation crash");
-    ExternalEvalCache::EvalCharge charge;
     PassOutcome out;
     try {
         out = evaluateImpl(term, transform, config, charge);
     } catch (const FatalError &) {
         out = PassOutcome{}; // untranslatable shape: rule does not apply
     } catch (const std::bad_alloc &) {
-        out = PassOutcome{}; // allocation failure: contained, not cached
-        charge.canceled = true;
-        cache.chargeEvaluation(charge);
+        charge.canceled = true; // allocation failure: contained, not cached
         return std::nullopt;
     }
     // Chaos: a pass that hangs until the watchdog gives up — modeled as
     // a cancellation, so the outcome is discarded and never cached.
-    bool canceled = config.exec.canceled() ||
-                    faultFire(FaultPoint::PassEvalTimeout);
-    charge.canceled = canceled;
-    cache.chargeEvaluation(charge);
-    if (canceled)
+    charge.canceled = config.exec.canceled() ||
+                      faultFire(FaultPoint::PassEvalTimeout);
+    if (charge.canceled)
         return std::nullopt; // budget-dependent: never cache or use
     return out;
 }
@@ -227,27 +221,49 @@ evaluateBatch(const std::vector<EvalBatchItem> &batch,
               const SnippetEvalConfig &config, ExternalEvalCache &cache,
               unsigned jobs, const std::function<bool()> &cancelled)
 {
-    cache.countBatch(batch.size(), jobs);
+    ExternalEvalStats &counters = cache.counters();
+    ++counters.batches;
+    counters.batch_jobs += batch.size();
+    counters.batch_workers += jobs;
+    // One result slot per item: a worker writes only its own slot.
+    struct Slot
+    {
+        bool ran = false; // evaluateSnippet returned (skipped/crashed: no)
+        EvalCharge charge;
+        std::optional<PassOutcome> outcome;
+    };
+    std::vector<Slot> slots(batch.size());
     parallelFor(
         batch.size(), jobs,
         [&](size_t i) {
-            // Jobs must not throw (worker-thread contract): an
-            // evaluation that crashes or fails to allocate is simply
-            // not cached — the serial consult re-evaluates inline,
-            // where the runner's containment applies.
+            // Jobs must not throw (worker-thread contract): a crashed
+            // evaluation leaves its slot empty, and the serial consult
+            // re-evaluates inline, where the runner's containment
+            // applies.
             try {
-                auto outcome =
+                slots[i].outcome =
                     evaluateSnippet(batch[i].term, batch[i].key,
-                                    transform, config, cache);
-                if (outcome) {
-                    cache.insertPass(batch[i].key,
-                                     std::move(*outcome));
-                }
+                                    transform, config, slots[i].charge);
+                slots[i].ran = true;
             } catch (const FatalError &) {
             } catch (const std::bad_alloc &) {
             }
         },
         cancelled);
+    // The fold, on this thread in batch order: any jobs count memoizes
+    // the same outcomes in the same order.
+    for (size_t i = 0; i < batch.size(); ++i) {
+        Slot &slot = slots[i];
+        if (!slot.ran)
+            continue;
+        try {
+            cache.chargeEvaluation(slot.charge);
+            if (slot.outcome)
+                cache.insertPass(batch[i].key, std::move(*slot.outcome));
+        } catch (const std::bad_alloc &) {
+            // Not cached: the consult re-evaluates this candidate.
+        }
+    }
 }
 
 void
@@ -275,45 +291,27 @@ outcomeBytes(const PassOutcome &outcome)
     return bytes;
 }
 
-/** Mutex stripes: enough that -j workers rarely contend. */
-constexpr unsigned kCacheShards = 16;
-
 } // namespace
 
 ExternalEvalCache::ExternalEvalCache(bool persistent)
-    : persistent_(persistent),
-      pass_(kCacheShards, [this](int64_t delta) { charge(delta); })
+    : persistent_(persistent)
 {}
 
-void
-ExternalEvalCache::setExecContext(const ExecContext &exec)
-{
-    std::lock_guard<std::mutex> lock(exec_mutex_);
-    exec_ = exec;
-}
-
-void
-ExternalEvalCache::charge(int64_t delta)
-{
-    std::lock_guard<std::mutex> lock(exec_mutex_);
-    exec_.chargeMem(MemSubsystem::Caches, delta);
-}
-
-std::optional<PassOutcome>
-ExternalEvalCache::lookupPass(uint64_t key)
+const PassOutcome *
+ExternalEvalCache::lookupPass(uint64_t key) const
 {
     // Chaos: a corrupted cache read surfaces as a miss — the entry is
     // re-evaluated from scratch, never trusted.
     if (faultFire(FaultPoint::CacheRead))
-        return std::nullopt;
-    return pass_.lookup(key);
+        return nullptr;
+    auto it = pass_.find(key);
+    return it == pass_.end() ? nullptr : &it->second;
 }
 
 bool
 ExternalEvalCache::probePass(uint64_t key)
 {
-    bool present = pass_.contains(key);
-    std::lock_guard<std::mutex> lock(stats_mutex_);
+    bool present = pass_.count(key) != 0;
     if (present)
         ++stats_.pass_cache_hits;
     else
@@ -330,43 +328,38 @@ ExternalEvalCache::insertPass(uint64_t key, PassOutcome outcome)
     // it as a failed application.
     if (faultFire(FaultPoint::CacheAlloc))
         throw std::bad_alloc();
-    int64_t bytes = outcomeBytes(outcome);
-    pass_.insert(key, std::move(outcome), bytes);
+    store(key, std::move(outcome));
+}
+
+void
+ExternalEvalCache::store(uint64_t key, PassOutcome outcome)
+{
+    int64_t delta = outcomeBytes(outcome);
+    auto [it, inserted] = pass_.try_emplace(key);
+    if (!inserted)
+        delta -= outcomeBytes(it->second);
+    it->second = std::move(outcome);
+    stats_.resident_entries = pass_.size();
+    stats_.resident_bytes += delta;
+    if (delta != 0)
+        exec_.chargeMem(MemSubsystem::Caches, delta);
 }
 
 void
 ExternalEvalCache::clearOutcomes()
 {
+    if (stats_.resident_bytes != 0) {
+        exec_.chargeMem(MemSubsystem::Caches,
+                        -static_cast<int64_t>(stats_.resident_bytes));
+    }
     pass_.clear();
-}
-
-void
-ExternalEvalCache::countMiss()
-{
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.pass_cache_misses;
-}
-
-void
-ExternalEvalCache::countDeduped(size_t n)
-{
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.candidates_deduped += n;
-}
-
-void
-ExternalEvalCache::countBatch(size_t jobs, unsigned workers)
-{
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.batches;
-    stats_.batch_jobs += jobs;
-    stats_.batch_workers += workers;
+    stats_.resident_entries = 0;
+    stats_.resident_bytes = 0;
 }
 
 void
 ExternalEvalCache::chargeEvaluation(const EvalCharge &charge)
 {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.evaluations;
     if (charge.canceled) {
         ++stats_.canceled;
@@ -380,19 +373,6 @@ ExternalEvalCache::chargeEvaluation(const EvalCharge &charge)
     stats_.translate_seconds += charge.translate_seconds;
     stats_.verify_seconds += charge.verify_seconds;
     stats_.schedule_seconds += charge.schedule_seconds;
-}
-
-ExternalEvalStats
-ExternalEvalCache::stats() const
-{
-    ExternalEvalStats out;
-    {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        out = stats_;
-    }
-    out.resident_entries = pass_.size();
-    out.resident_bytes = static_cast<uint64_t>(pass_.bytes());
-    return out;
 }
 
 // --- persistence ----------------------------------------------------------
@@ -574,7 +554,7 @@ ExternalEvalCache::loadFile(const std::string &path, std::string *error)
                         std::istreambuf_iterator<char>()};
 
     auto corrupt = [&](const std::string &why) -> size_t {
-        pass_.clear();
+        clearOutcomes();
         // Honest cold-start accounting: count the record lines the
         // rejected file carried, so the stats section reports how much
         // memoized work was thrown away instead of a silent zero.
@@ -588,7 +568,6 @@ ExternalEvalCache::loadFile(const std::string &path, std::string *error)
                 break;
             pos = nl + 1;
         }
-        std::lock_guard<std::mutex> lock(stats_mutex_);
         stats_.disk_load_failed = true;
         stats_.disk_entries_loaded = 0;
         stats_.disk_entries_rejected = rejected;
@@ -687,11 +666,8 @@ ExternalEvalCache::loadFile(const std::string &path, std::string *error)
     }
 
     size_t loaded = pass.size();
-    for (auto &[key, outcome] : pass) {
-        int64_t bytes = outcomeBytes(outcome);
-        pass_.insert(key, std::move(outcome), bytes);
-    }
-    std::lock_guard<std::mutex> lock(stats_mutex_);
+    for (auto &[key, outcome] : pass)
+        store(key, std::move(outcome));
     stats_.disk_entries_loaded = loaded;
     stats_.disk_load_error.clear();
     return loaded;
@@ -704,14 +680,18 @@ ExternalEvalCache::saveFile(const std::string &path,
     if (error)
         error->clear();
     // Serialize the body in memory first: the checksum covers every
-    // byte that will precede it, and the file is then written in one
-    // stream without interleaved reads of mutable state. forEachSorted
-    // snapshots the store and iterates in sorted key order, so the
-    // artifact is byte-stable across runs — and across save → load →
-    // save round trips, whatever order the entries arrived in.
+    // byte that will precede it. Records go out in sorted key order, so
+    // the artifact is byte-stable across runs — and across save → load
+    // → save round trips, whatever order the entries arrived in.
+    std::vector<uint64_t> keys;
+    keys.reserve(pass_.size());
+    for (const auto &entry : pass_)
+        keys.push_back(entry.first);
+    std::sort(keys.begin(), keys.end());
     std::ostringstream out;
     out << kCacheHeader << '\n';
-    pass_.forEachSorted([&](uint64_t key, const PassOutcome &outcome) {
+    for (uint64_t key : keys) {
+        const PassOutcome &outcome = pass_.at(key);
         out << "P " << keyHex(key) << ' '
             << static_cast<int>(outcome.status) << ' '
             << escapeField(outcome.detail) << ' '
@@ -721,7 +701,7 @@ ExternalEvalCache::saveFile(const std::string &path,
             << ' ' << outcome.schedule.size() << '\n';
         for (const auto &[id, entry] : outcome.schedule)
             writeEntry(out, id, entry);
-    });
+    }
     std::string body = out.str();
 
     // Atomic persistence: write body + checksum to a sibling temp file,

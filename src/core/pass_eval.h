@@ -16,8 +16,10 @@
  *    the gate's verdicts are not memoized on their own (a fresh
  *    evaluation's (before, after) pair never recurs: see DESIGN.md);
  *  - a deterministic worker pool: per runner iteration, candidate
- *    snippets are collected, deduped, and evaluated on N threads, then
- *    consumed serially in canonical candidate order.
+ *    snippets are collected, deduped, and evaluated on N threads. The
+ *    workers only compute: each returns its outcome into its own slot,
+ *    and the runner thread folds the slots into the cache in batch
+ *    order, then consumes them serially in canonical candidate order.
  *
  * Purity is engineered, not assumed: evaluation runs under an
  * sl::NameScope seeded with the cache key, so the fresh memory tags and
@@ -34,7 +36,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -44,7 +45,6 @@
 #include "hls/hls.h"
 #include "support/exec_context.h"
 #include "support/json.h"
-#include "support/striped_map.h"
 
 namespace seer::ir {
 class Operation;
@@ -128,16 +128,30 @@ struct ExternalEvalStats
 
 json::Value toJson(const ExternalEvalStats &stats);
 
+/** What one snippet evaluation costs, folded into the cache's stats. */
+struct EvalCharge
+{
+    double emit_seconds = 0;
+    double pass_seconds = 0;
+    double translate_seconds = 0;
+    double verify_seconds = 0;
+    double schedule_seconds = 0;
+    bool canceled = false;
+    /** The gate accepted with no conclusive run, for these causes. */
+    bool gate_inconclusive = false;
+    std::vector<std::string> gate_inconclusive_causes;
+};
+
 /**
- * The pass-outcome cache, held in a mutex-striped concurrent
- * store (support/striped_map.h). Thread-safe: the prepare stage's
- * worker pool inserts concurrently while stats accumulate — lookups on
- * distinct shards never contend.
+ * The pass-outcome cache: a plain map from cache key to outcome, used
+ * by one thread at a time. The `-j` worker pool never touches it:
+ * workers return their outcomes and charges, and the runner thread
+ * folds them in (evaluateBatch), so no store here needs a lock.
  *
  * Persistent mode memoizes across iterations, phases, optimize() calls
  * and (via load/save) processes. Ephemeral mode (--no-pass-cache) is an
  * iteration-scoped staging buffer: the prepare stage still needs a
- * channel to hand parallel results to the serial consult, but entries
+ * channel to hand batch results to the serial consult, but entries
  * are dropped at the next iteration boundary so nothing is ever reused
  * across iterations.
  */
@@ -151,10 +165,11 @@ class ExternalEvalCache
     /** Attach a governance context: memoized entries are accounted
      *  against MemSubsystem::Caches on its governor (approximate
      *  per-entry byte estimates; credited back on clearOutcomes). */
-    void setExecContext(const ExecContext &exec);
+    void setExecContext(const ExecContext &exec) { exec_ = exec; }
 
-    /** Pass-outcome lookup; counts nothing. */
-    std::optional<PassOutcome> lookupPass(uint64_t key);
+    /** Pass-outcome lookup (nullptr: absent); counts nothing. The
+     *  pointer stays valid until the next insertPass or clearOutcomes. */
+    const PassOutcome *lookupPass(uint64_t key) const;
     /** True when `key` has an outcome; counts a hit or a miss. */
     bool probePass(uint64_t key);
     /** Memoize an outcome. May throw std::bad_alloc (the `cache-alloc`
@@ -165,23 +180,13 @@ class ExternalEvalCache
     void clearOutcomes();
 
     // --- stats ----------------------------------------------------------
-    void countMiss();
-    void countDeduped(size_t n);
-    void countBatch(size_t jobs, unsigned workers);
-    struct EvalCharge
-    {
-        double emit_seconds = 0;
-        double pass_seconds = 0;
-        double translate_seconds = 0;
-        double verify_seconds = 0;
-        double schedule_seconds = 0;
-        bool canceled = false;
-        /** The gate accepted with no conclusive run, for these causes. */
-        bool gate_inconclusive = false;
-        std::vector<std::string> gate_inconclusive_causes;
-    };
+    /** Count one evaluation and add its stage timings. */
     void chargeEvaluation(const EvalCharge &charge);
-    ExternalEvalStats stats() const;
+    /** The counters, for direct updates by the runner thread; the
+     *  resident_* fields track the store and are kept by insertPass and
+     *  clearOutcomes. */
+    ExternalEvalStats &counters() { return stats_; }
+    const ExternalEvalStats &stats() const { return stats_; }
 
     // --- persistence ----------------------------------------------------
     /**
@@ -195,23 +200,21 @@ class ExternalEvalCache
      */
     size_t loadFile(const std::string &path, std::string *error);
     /**
-     * Persist atomically: the cache is serialized (with a trailing
-     * whole-file checksum) to `path + ".tmp"`, flushed and fsync'd,
-     * then renamed over `path`. A crash mid-save leaves the previous
-     * file intact; readers never observe a torn cache.
+     * Persist atomically: the cache is serialized in sorted key order
+     * (with a trailing whole-file checksum) to `path + ".tmp"`, flushed
+     * and fsync'd, then renamed over `path`. A crash mid-save leaves
+     * the previous file intact; readers never observe a torn cache.
      */
     bool saveFile(const std::string &path, std::string *error) const;
 
   private:
-    /** Account `delta` bytes to the Caches subsystem. */
-    void charge(int64_t delta);
+    /** Insert or overwrite `key`, keeping the resident byte total and
+     *  the governor's Caches level current. */
+    void store(uint64_t key, PassOutcome outcome);
 
     bool persistent_;
-    StripedMap<PassOutcome> pass_;
-    /** Guards the counters + timing accumulators. */
-    mutable std::mutex stats_mutex_;
+    std::unordered_map<uint64_t, PassOutcome> pass_;
     ExternalEvalStats stats_;
-    mutable std::mutex exec_mutex_;
     ExecContext exec_;
 };
 
@@ -234,19 +237,20 @@ struct SnippetEvalConfig
 /**
  * Run the pure snippet -> pass -> verify -> schedule pipeline on
  * `term`. `key` seeds the deterministic name scope (pass the full
- * cache key so distinct rules/configs draw distinct name streams) and
- * `cache` accumulates stats.
+ * cache key so distinct rules/configs draw distinct name streams);
+ * `charge` receives the evaluation's timings and verdict flags, for
+ * the caller to fold in with ExternalEvalCache::chargeEvaluation
+ * (unless this throws: an injected crash is charged nothing).
  *
  * Returns nullopt when the context was canceled mid-evaluation
  * (deadline, memory budget, signal): a truncated result is
  * budget-dependent, not content-dependent, and must never be cached.
- * Thread-safe; called from the worker pool.
+ * Touches no shared store; called from the worker pool.
  */
 std::optional<PassOutcome>
 evaluateSnippet(const eg::TermPtr &term, uint64_t key,
                 const std::function<bool(ir::Operation &)> &transform,
-                const SnippetEvalConfig &config,
-                ExternalEvalCache &cache);
+                const SnippetEvalConfig &config, EvalCharge &charge);
 
 /** One cold candidate of a scheduled evaluation batch. */
 struct EvalBatchItem
@@ -257,13 +261,15 @@ struct EvalBatchItem
 
 /**
  * Worker-pool fan-out over one scheduled batch, counted in `cache`'s
- * stats: each item runs evaluateSnippet on one of `jobs` threads and
- * lands its outcome in `cache`. Pure fan-out — each job touches only
- * the thread-safe cache, and union order is untouched (the apply phase
+ * stats: each item runs evaluateSnippet on one of `jobs` threads into
+ * its own result slot; after the join the calling thread charges the
+ * slots and inserts their outcomes into `cache`, in batch order. Jobs
+ * touch no shared store and union order is untouched (the apply phase
  * stays serial), so any jobs count produces bit-identical e-graphs.
  * Jobs must not throw (worker-thread contract): an evaluation that
- * crashes or fails to allocate is simply not cached — the serial
- * consult re-evaluates inline, where the runner's containment applies.
+ * crashes or fails to allocate, and an outcome whose insert fails to
+ * allocate, are simply not cached — the serial consult re-evaluates
+ * inline, where the runner's containment applies.
  */
 void evaluateBatch(const std::vector<EvalBatchItem> &batch,
                    const std::function<bool(ir::Operation &)> &transform,

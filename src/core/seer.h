@@ -102,15 +102,16 @@ struct SeerOptions
      * the only parallel stage. Snippet evaluation is a pure function
      * under a content-seeded name scope, and search and unions stay
      * serial in canonical order, so any value of `jobs` produces
-     * bit-identical results — e-graphs, stats, extracted terms.
+     * bit-identical results — e-graphs, stats counters, extracted
+     * terms (the `resource` byte levels excepted: worker interpreter
+     * buffers overlap).
      */
     unsigned jobs = 1;
     /**
-     * Memoize pass outcomes and equivalence verdicts across iterations,
-     * phases and optimize() calls. Off: outcomes are staged per
-     * iteration only (the honest cold baseline). The exploration result
-     * is identical either way — the cache is a transparent memo over a
-     * pure function.
+     * Memoize pass outcomes across iterations, phases and optimize()
+     * calls. Off: outcomes are staged per iteration only (the honest
+     * cold baseline). The exploration result is identical either way —
+     * the cache is a transparent memo over a pure function.
      */
     bool use_pass_cache = true;
     /** Load/save the pass-outcome cache here (empty = in-memory only;

@@ -7,12 +7,10 @@
  */
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <sys/stat.h>
@@ -23,6 +21,7 @@
 #include "ir/printer.h"
 #include "seerlang/canonical.h"
 #include "seerlang/encoding.h"
+#include "support/fault_inject.h"
 #include "support/hashing.h"
 #include "support/worker_pool.h"
 
@@ -231,16 +230,16 @@ TEST(EvalCacheTest, DiskRoundTripPreservesOutcomes)
     EXPECT_FALSE(loaded.stats().disk_load_failed);
 
     auto not_applied = loaded.lookupPass(1);
-    ASSERT_TRUE(not_applied.has_value());
+    ASSERT_NE(not_applied, nullptr);
     EXPECT_EQ(not_applied->status, PassOutcome::Status::NotApplied);
 
     auto rej = loaded.lookupPass(2);
-    ASSERT_TRUE(rej.has_value());
+    ASSERT_NE(rej, nullptr);
     EXPECT_EQ(rej->status, PassOutcome::Status::Rejected);
     EXPECT_EQ(rej->detail, rejected.detail);
 
     auto rep = loaded.lookupPass(3);
-    ASSERT_TRUE(rep.has_value());
+    ASSERT_NE(rep, nullptr);
     ASSERT_EQ(rep->status, PassOutcome::Status::Replaced);
     ASSERT_TRUE(rep->replacement != nullptr);
     EXPECT_EQ(rep->replacement->str(),
@@ -301,7 +300,7 @@ TEST(EvalCacheTest, VerdictRecordsFromOlderFilesAreSkipped)
     EXPECT_EQ(stats.disk_entries_loaded, 3u);
     EXPECT_EQ(stats.resident_entries, 3u);
     for (uint64_t key : {1, 2, 3})
-        EXPECT_TRUE(older.lookupPass(key).has_value()) << key;
+        EXPECT_NE(older.lookupPass(key), nullptr) << key;
 
     ASSERT_TRUE(older.saveFile(path, &error)) << error;
     std::string resaved = slurp(path);
@@ -350,7 +349,7 @@ TEST(EvalCacheTest, CorruptFileColdStartsInsteadOfHalfLoading)
     EXPECT_EQ(loaded.loadFile(path, &error), 0u);
     EXPECT_FALSE(error.empty());
     EXPECT_TRUE(loaded.stats().disk_load_failed);
-    EXPECT_FALSE(loaded.lookupPass(1).has_value());
+    EXPECT_EQ(loaded.lookupPass(1), nullptr);
 }
 
 TEST(EvalCache, SaveLoadSaveIsByteStableUnderEviction)
@@ -434,7 +433,7 @@ TEST(EvalCache, CorruptFileColdStartsWithHonestCounters)
             EXPECT_EQ(stats.disk_entries_rejected, damage.rejected);
         else
             EXPECT_GT(stats.disk_entries_rejected, 0u);
-        EXPECT_FALSE(loaded.lookupPass(1).has_value());
+        EXPECT_EQ(loaded.lookupPass(1), nullptr);
     }
     std::remove(path.c_str());
 }
@@ -455,48 +454,42 @@ TEST(EvalCacheTest, EphemeralModeDropsOutcomesButKeepsStats)
     cache.insertPass(5, PassOutcome{});
     EXPECT_TRUE(cache.probePass(5));
     cache.clearOutcomes();
-    EXPECT_FALSE(cache.lookupPass(5).has_value());
+    EXPECT_EQ(cache.lookupPass(5), nullptr);
     // One hit (the probe) and one miss (the post-clear probe).
     EXPECT_FALSE(cache.probePass(5));
     EXPECT_EQ(cache.stats().pass_cache_hits, 1u);
     EXPECT_EQ(cache.stats().pass_cache_misses, 1u);
 }
 
-TEST(EvalCacheTest, ConcurrentInsertsShareOneStore)
+TEST(EvalCacheTest, ResidentBytesTrackTheGovernorsCachesLevel)
 {
-    // The -j worker pool's access pattern, as a TSan target: pass
-    // inserts, probes, lookups and stats reads race on one cache.
+    // Inserts charge MemSubsystem::Caches, an overwrite charges only
+    // the difference, and a clear credits everything back.
+    auto governor = std::make_shared<ResourceGovernor>();
+    ExecContext exec = ExecContext::make();
+    exec.setGovernor(governor);
     ExternalEvalCache cache;
-    constexpr unsigned kThreads = 6;
-    std::vector<std::thread> threads;
-    for (unsigned t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&, t] {
-            for (uint64_t i = 0; i < 300; ++i) {
-                uint64_t key = (i % 100) * 7919 + t;
-                if (!cache.probePass(key)) {
-                    PassOutcome outcome;
-                    outcome.status = PassOutcome::Status::Rejected;
-                    outcome.detail = "detail-" + std::to_string(key);
-                    cache.insertPass(key, std::move(outcome));
-                }
-                // A neighbour thread's key: present or not, never torn.
-                uint64_t other = (i % 100) * 7919 + (t + 1) % kThreads;
-                if (auto found = cache.lookupPass(other)) {
-                    EXPECT_EQ(found->detail,
-                              "detail-" + std::to_string(other));
-                }
-                if (i % 50 == 0)
-                    (void)cache.stats();
-            }
-        });
-    }
-    for (auto &thread : threads)
-        thread.join();
-    ExternalEvalStats stats = cache.stats();
-    // Each thread misses its 100 keys once, then hits them twice.
-    EXPECT_EQ(stats.pass_cache_misses, kThreads * 100u);
-    EXPECT_EQ(stats.pass_cache_hits, kThreads * 200u);
-    EXPECT_EQ(stats.resident_entries, kThreads * 100u);
+    cache.setExecContext(exec);
+    auto caches = [&] {
+        return governor->stats()
+            .sub[static_cast<size_t>(MemSubsystem::Caches)]
+            .current_bytes;
+    };
+    cache.insertPass(1, PassOutcome{});
+    uint64_t one = cache.stats().resident_bytes;
+    EXPECT_GT(one, 0u);
+    PassOutcome rejected;
+    rejected.status = PassOutcome::Status::Rejected;
+    rejected.detail = "a longer diagnostic";
+    cache.insertPass(2, rejected);
+    EXPECT_EQ(caches(), cache.stats().resident_bytes);
+    cache.insertPass(2, PassOutcome{}); // overwrite: shrinks to `one`
+    EXPECT_EQ(cache.stats().resident_entries, 2u);
+    EXPECT_EQ(cache.stats().resident_bytes, 2 * one);
+    EXPECT_EQ(caches(), 2 * one);
+    cache.clearOutcomes();
+    EXPECT_EQ(cache.stats().resident_bytes, 0u);
+    EXPECT_EQ(caches(), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -508,23 +501,20 @@ TEST(DeadlineTest, ExpiredEvaluationIsDiscardedNotCached)
     auto term = eg::parseTerm(
         "(affine.for:i:L0 const:0:index const:8:index const:1:index"
         " (store:t0 (load:t0 var:i) var:i))");
-    ExternalEvalCache cache;
     SnippetEvalConfig config;
     config.exec = ExecContext::make();
     config.exec.setDeadline(std::chrono::steady_clock::now() -
                             std::chrono::seconds(1)); // already expired
-    std::atomic<int> pass_runs{0};
-    auto outcome = evaluateSnippet(
-        term, 42,
-        [&](ir::Operation &) {
-            ++pass_runs;
-            return false;
-        },
-        config, cache);
-    EXPECT_FALSE(outcome.has_value());
+    auto pass = [](ir::Operation &) { return false; };
+    EvalCharge charge;
+    EXPECT_FALSE(evaluateSnippet(term, 42, pass, config, charge));
+    EXPECT_TRUE(charge.canceled);
+    // Through the batch fold: counted as canceled and, being
+    // budget-dependent, never memoized.
+    ExternalEvalCache cache;
+    evaluateBatch({{42, term}}, pass, config, cache, 1, nullptr);
     EXPECT_EQ(cache.stats().canceled, 1u);
-    // A canceled result is budget-dependent; nothing may be memoized.
-    EXPECT_FALSE(cache.lookupPass(42).has_value());
+    EXPECT_EQ(cache.lookupPass(42), nullptr);
 }
 
 // ---------------------------------------------------------------------
@@ -632,6 +622,57 @@ TEST(DeterminismTest, DiskCacheWarmsAcrossRuns)
     EXPECT_GT(second.stats.external_eval.disk_entries_loaded, 0u);
     EXPECT_EQ(second.stats.external_eval.evaluations, 0u);
     std::remove(path.c_str());
+}
+
+TEST(DeterminismTest, PassCacheFileIsJobsInvariant)
+{
+    // Workers only compute; the runner thread memoizes in batch order.
+    // So -j 1 and -j 4 must persist byte-identical cache files.
+    std::string saved[2];
+    uint64_t resident[2] = {};
+    const unsigned jobs[2] = {1, 4};
+    for (int run = 0; run < 2; ++run) {
+        std::string path = tempPath("pass_cache_jobs_invariant.txt");
+        std::remove(path.c_str());
+        SeerOptions options;
+        options.jobs = jobs[run];
+        options.pass_cache_file = path;
+        ir::Module input = ir::parseModule(kFusable);
+        SeerResult result = optimize(input, "fusable", options);
+        EXPECT_GT(result.stats.external_eval.batch_jobs, 1u);
+        resident[run] = result.stats.external_eval.resident_entries;
+        saved[run] = slurp(path);
+        std::remove(path.c_str());
+    }
+    ASSERT_FALSE(saved[0].empty());
+    EXPECT_GT(resident[0], 0u);
+    EXPECT_EQ(resident[0], resident[1]);
+    EXPECT_EQ(saved[0], saved[1]) << "-j 4 saved a different cache";
+}
+
+TEST(EvalFoldTest, InjectedFaultsAtJobsFourAreContained)
+{
+    // A worker's crashed evaluation and a failed insert in the fold
+    // both leave the outcome uncached; the consult re-evaluates it.
+    // The crashed job charged nothing, so only the dropped insert costs
+    // one extra evaluation.
+    SeerOptions options;
+    options.jobs = 4;
+    ir::Module input = ir::parseModule(kFusable);
+    SeerResult unarmed = optimize(input, "fusable", options);
+
+    FaultPlan plan;
+    plan.fixed.push_back({FaultPoint::CacheAlloc, 1});
+    plan.fixed.push_back({FaultPoint::PassEvalCrash, 1});
+    ScopedFaultPlan armed(plan);
+    SeerResult result;
+    ASSERT_NO_THROW(result = optimize(input, "fusable", options));
+    EXPECT_GT(FaultInjector::instance().hits(FaultPoint::CacheAlloc), 0u);
+    EXPECT_GT(FaultInjector::instance().hits(FaultPoint::PassEvalCrash),
+              0u);
+    EXPECT_EQ(ir::toString(result.module), ir::toString(unarmed.module));
+    EXPECT_EQ(result.stats.external_eval.evaluations,
+              unarmed.stats.external_eval.evaluations + 1);
 }
 
 ino_t

@@ -104,32 +104,60 @@ TEST(FaultPlanTest, SeededRateFiresDeterministically)
 // The no-throw contract: optimize() under every injection point
 // ---------------------------------------------------------------------
 
+/**
+ * Two fusable loops: external passes apply (and change the IR, so the
+ * validation gate co-simulates), so every injection point is on the
+ * path of one optimize() call.
+ */
+const char *kFusableKernel = R"(
+func.func @k(%a: memref<64xi32>, %b: memref<64xi32>,
+             %c: memref<64xi32>) {
+  affine.for %i = 0 to 32 {
+    %v = memref.load %a[%i] : memref<64xi32>
+    %w = arith.addi %v, %v : i32
+    memref.store %w, %b[%i] : memref<64xi32>
+  }
+  affine.for %j = 0 to 32 {
+    %v = memref.load %b[%j] : memref<64xi32>
+    %c2 = arith.constant 2 : i32
+    %w = arith.muli %v, %c2 : i32
+    memref.store %w, %c[%j] : memref<64xi32>
+  }
+})";
+
 TEST(NoThrowContractTest, OptimizeSurvivesEveryInjectionPoint)
 {
     // Fixpoint sweep: fire each point at several hit indices. Whatever
     // the schedule, optimize() must neither throw nor emit invalid IR.
-    ir::Module input = ir::parseModule(kSmallKernel);
+    // The kernel, the phase budget and the pass-cache file put every
+    // point on the path, so each armed index must actually be reached.
+    ir::Module input = ir::parseModule(kFusableKernel);
+    core::SeerOptions options = sweepOptions();
+    options.max_phases = 4;
+    options.pass_cache_file =
+        std::string(::testing::TempDir()) + "sweep_pass_cache.txt";
     for (size_t i = 0; i < kNumFaultPoints; ++i) {
+        FaultPoint point = static_cast<FaultPoint>(i);
         for (uint64_t nth : {1ull, 2ull, 8ull}) {
+            // Start cold, so the pass-evaluation points are reached.
+            std::remove(options.pass_cache_file.c_str());
             FaultPlan plan;
-            plan.fixed.push_back({static_cast<FaultPoint>(i), nth});
+            plan.fixed.push_back({point, nth});
             ScopedFaultPlan armed(plan);
             core::SeerResult result;
-            ASSERT_NO_THROW(result = core::optimize(input, "k",
-                                                    sweepOptions()))
+            ASSERT_NO_THROW(result = core::optimize(input, "k", options))
                 << plan.str();
             EXPECT_EQ(ir::verify(result.module), "")
                 << plan.str() << "\n" << ir::toString(result.module);
-            // The eval-cache insert is reached on every outcome, so
-            // the armed hit index must actually fire.
-            if (static_cast<FaultPoint>(i) == FaultPoint::CacheAlloc) {
-                EXPECT_GE(FaultInjector::instance().hits(
-                              FaultPoint::CacheAlloc),
-                          nth)
-                    << plan.str();
-            }
+            // One optimize() saves its cache file once, at the end: a
+            // later cache-save index cannot be reached.
+            uint64_t reachable =
+                point == FaultPoint::CacheSave ? 1 : nth;
+            EXPECT_GE(FaultInjector::instance().hits(point), reachable)
+                << plan.str();
         }
     }
+    std::remove(options.pass_cache_file.c_str());
 }
 
 TEST(NoThrowContractTest, AllPointsAtOnceStillDelivers)

@@ -1,7 +1,6 @@
 /** Tests for the support library: symbols, errors, tables, RNG, JSON. */
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -11,7 +10,6 @@
 #include "support/error.h"
 #include "support/json.h"
 #include "support/rng.h"
-#include "support/striped_map.h"
 #include "support/symbol.h"
 #include "support/table.h"
 
@@ -169,71 +167,6 @@ TEST(RngTest, DoubleInUnitInterval)
         EXPECT_GE(d, 0.0);
         EXPECT_LT(d, 1.0);
     }
-}
-
-TEST(StripedMapTest, ChargeHookObservesAllDeltas)
-{
-    int64_t charged = 0;
-    StripedMap<std::string> map(2,
-                                [&](int64_t delta) { charged += delta; });
-    map.insert(1, "a", 10);
-    map.insert(2, "b", 20);
-    EXPECT_EQ(charged, 30);
-    map.insert(1, "c", 15); // overwrite: delta +5
-    EXPECT_EQ(charged, 35);
-    EXPECT_EQ(map.bytes(), 35);
-    EXPECT_EQ(map.size(), 2u);
-    EXPECT_EQ(*map.lookup(1), "c");
-    map.clear();
-    EXPECT_EQ(charged, 0);
-    EXPECT_EQ(map.size(), 0u);
-    EXPECT_FALSE(map.contains(1));
-}
-
-TEST(StripedMapTest, ConcurrentHammer)
-{
-    // The TSan target: concurrent inserts and lookups on overlapping
-    // keys while a reader polls the totals must be free of data races
-    // and never lose the value-follows-key invariant.
-    StripedMap<uint64_t> map(8);
-    constexpr unsigned kThreads = 8;
-    constexpr uint64_t kKeys = 512;
-    constexpr int kRounds = 200;
-    std::vector<std::thread> threads;
-    std::atomic<bool> stop{false};
-    threads.emplace_back([&] {
-        while (!stop.load()) {
-            EXPECT_EQ(map.bytes() % 64, 0);
-            (void)map.size();
-        }
-    });
-    for (unsigned t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&, t] {
-            for (int round = 0; round < kRounds; ++round) {
-                // Each thread walks every key from its own offset, so
-                // threads race on the same keys.
-                for (uint64_t n = 0; n < kKeys; ++n) {
-                    uint64_t key = ((n + t * 64) % kKeys) * 0x9E37 + 1;
-                    if (auto hit = map.lookup(key))
-                        EXPECT_EQ(*hit, key * 2);
-                    else
-                        map.insert(key, key * 2, 64);
-                }
-            }
-        });
-    }
-    for (size_t i = 1; i < threads.size(); ++i)
-        threads[i].join();
-    stop.store(true);
-    threads[0].join();
-    EXPECT_EQ(map.size(), kKeys);
-    EXPECT_EQ(map.bytes(), static_cast<int64_t>(kKeys) * 64);
-    uint64_t previous = 0;
-    map.forEachSorted([&](uint64_t key, const uint64_t &value) {
-        EXPECT_EQ(value, key * 2);
-        EXPECT_GT(key, previous);
-        previous = key;
-    });
 }
 
 } // namespace
