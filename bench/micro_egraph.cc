@@ -175,9 +175,9 @@ mulAddChain(int width)
 /**
  * The tentpole benchmark: the full ~46-rule ROVER set saturating a wide
  * arithmetic expression. naive:1 runs the pre-index whole-graph
- * reference matcher; naive:0 runs the default indexed + incremental
- * path. Both explore the identical e-graph (the match lists are equal),
- * so the ratio isolates the matcher.
+ * reference matcher; naive:0 runs the default indexed path. Both
+ * explore the identical e-graph (the match lists are equal), so the
+ * ratio isolates the matcher.
  */
 void
 BM_ManyRuleSaturation(benchmark::State &state)
@@ -193,7 +193,6 @@ BM_ManyRuleSaturation(benchmark::State &state)
         options.match_limit = 200;
         options.record_proofs = false;
         options.naive_match = naive;
-        options.incremental_match = !naive;
         Runner runner(egraph, options);
         runner.addRules(rover::roverRules());
         benchmark::DoNotOptimize(runner.run().total_applied);

@@ -117,19 +117,22 @@ evaluateImpl(const TermPtr &term,
 
     // Chaos: a pass that "succeeded" but emitted nonsense. Fired before
     // the validation gate, which is exactly the layer whose job it is
-    // to keep such output from ever reaching the e-graph; should the
-    // gate wave it through as inconclusive, downstream emission falls
-    // back to the original term — the degraded-mode contract holds
-    // either way.
-    if (faultFire(FaultPoint::PassEvalGarbage))
+    // to keep such output from ever reaching the e-graph: a replacement
+    // it cannot lower is rejected below. The fault is transient, so
+    // its verdict is discarded like a canceled one: memoized, and
+    // saved to a --pass-cache file, it would replay in fault-free runs.
+    if (faultFire(FaultPoint::PassEvalGarbage)) {
         replacement = eg::makeTerm("chaos.garbage");
+        charge.canceled = true;
+    }
 
     // Validation gate (fault isolation): the transformed snippet must
     // pass the structural verifier and the before/after terms must
     // co-simulate on deterministic pseudo-random inputs, or lower to
     // identical IR, which checkTermEquivalence accepts without a run.
-    // Anything not falsified is accepted; a verdict with no conclusive
-    // run is counted as gate_inconclusive.
+    // Anything not falsified is accepted, except a side that could not
+    // be lowered (it could not be emitted downstream either); another
+    // verdict with no conclusive run is counted as gate_inconclusive.
     if (!config.exec.canceled()) {
         std::string diag = ir::verify(snippet);
         if (!diag.empty()) {
@@ -147,6 +150,15 @@ evaluateImpl(const TermPtr &term,
                                   &charge.gate_inconclusive_causes)) {
             out.status = PassOutcome::Status::Rejected;
             out.detail = "co-simulation mismatch: " + diag;
+            charge.verify_seconds += secondsSince(stamp);
+            return out;
+        }
+        const auto &causes = charge.gate_inconclusive_causes;
+        if (std::find(causes.begin(), causes.end(), "unemittable") !=
+            causes.end()) {
+            out.status = PassOutcome::Status::Rejected;
+            out.detail = "validation gate could not lower the "
+                         "replacement";
             charge.verify_seconds += secondsSince(stamp);
             return out;
         }
@@ -208,8 +220,9 @@ evaluateSnippet(const TermPtr &term, uint64_t key,
     }
     // Chaos: a pass that hangs until the watchdog gives up — modeled as
     // a cancellation, so the outcome is discarded and never cached.
-    charge.canceled = config.exec.canceled() ||
-                      faultFire(FaultPoint::PassEvalTimeout);
+    bool timed_out = faultFire(FaultPoint::PassEvalTimeout);
+    charge.canceled =
+        charge.canceled || config.exec.canceled() || timed_out;
     if (charge.canceled)
         return std::nullopt; // budget-dependent: never cache or use
     return out;

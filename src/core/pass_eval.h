@@ -91,7 +91,8 @@ struct ExternalEvalStats
      *  summed. Not in the --stats JSON, whose counters stay
      *  byte-identical across -j; tests read it to see -j arrive. */
     size_t batch_workers = 0;
-    /** Evaluations cut short by the cooperative deadline (uncached). */
+    /** Evaluations cut short by the cooperative deadline, or tainted
+     *  by an injected pass fault (uncached). */
     size_t canceled = 0;
     /**
      * Gate verdicts accepted with no conclusive co-simulation run
@@ -245,6 +246,7 @@ struct SnippetEvalConfig
  * Returns nullopt when the context was canceled mid-evaluation
  * (deadline, memory budget, signal): a truncated result is
  * budget-dependent, not content-dependent, and must never be cached.
+ * So is one an injected pass fault (timeout, garbage output) tainted.
  * Touches no shared store; called from the worker pool.
  */
 std::optional<PassOutcome>

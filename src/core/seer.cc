@@ -258,12 +258,8 @@ class SaturatePhase
             result_.stats.iterations.push_back(stats);
         eg::MatchPhaseStats &mp = result_.stats.match_phase;
         mp.candidates_visited += report.match_phase.candidates_visited;
-        mp.skipped_clean += report.match_phase.skipped_clean;
-        mp.cached_matches_reused +=
-            report.match_phase.cached_matches_reused;
         mp.index_scans += report.match_phase.index_scans;
         mp.full_scans += report.match_phase.full_scans;
-        mp.incremental_scans += report.match_phase.incremental_scans;
         mp.shard_seconds += report.match_phase.shard_seconds;
         mp.search_wall_seconds +=
             report.match_phase.search_wall_seconds;

@@ -225,8 +225,8 @@ struct SeerStats
     std::vector<eg::StopReason> stop_reasons;
     /** The concatenated iteration trajectory across all phases. */
     std::vector<eg::IterationStats> iterations;
-    /** Match-phase counters (index hits, watermark skips, cache reuse)
-     *  summed over every runner invocation. */
+    /** Match-phase counters (candidates, index hits) summed over every
+     *  runner invocation. */
     eg::MatchPhaseStats match_phase;
 
     // --- health (fault isolation) ---------------------------------------

@@ -267,7 +267,7 @@ checkSource(const std::string &source, const OracleOptions &options)
                 core::optimize(input, func_name, naive).module);
             if (fast_out != naive_out) {
                 return fail(FailureKind::ReferenceDivergence,
-                            "indexed+incremental output differs from "
+                            "indexed output differs from "
                             "the naive-match/naive-extract reference");
             }
         } catch (const FatalError &err) {

@@ -123,9 +123,7 @@ EGraph::exactBytes() const
 {
     size_t bytes =
         parents_.capacity() * sizeof(EClassId) +
-        modified_.capacity() * sizeof(uint64_t) +
         worklist_.capacity() * sizeof(EClassId) +
-        dirty_since_rebuild_.capacity() * sizeof(EClassId) +
         classes_.capacity() * sizeof(EClass) +
         journal_.capacity() * sizeof(JournalEntry) +
         memo_.storageBytes() + op_index_.storageBytes();
@@ -185,7 +183,7 @@ EGraph::add(ENode node)
 
     EClassId id = static_cast<EClassId>(parents_.size());
     parents_.push_back(id);
-    modified_.push_back(++tick_);
+    ++tick_;
     classes_.emplace_back();
     ++num_classes_;
     if (journaling()) {
@@ -204,12 +202,12 @@ EGraph::add(ENode node)
     // Marginal storage estimate for this add, re-anchored to an exact
     // walk at every rebuild: the node copy in its class, a hashcons
     // slot at ~3/4 load, one parent entry per child, and the id's
-    // union-find/stamp/class-slot/op-index overhead.
+    // union-find/class-slot/op-index overhead.
     est_bytes_pending_ +=
         sizeof(ENode) + 3 * node.children.heapBytes() +
         (sizeof(ENode) + 16) * 4 / 3 +
         node.children.size() * sizeof(std::pair<ENode, EClassId>) +
-        sizeof(EClassId) + sizeof(uint64_t) + sizeof(EClass) +
+        sizeof(EClassId) + sizeof(EClass) +
         sizeof(EClassId);
     for (EClassId child : node.children)
         classes_[child].parents.emplace_back(node, id);
@@ -312,12 +310,8 @@ EGraph::merge(EClassId a, EClassId b, std::string reason)
         journal_.push_back(std::move(entry));
     }
     --num_classes_;
-    // Stamp the winner now (it changed: it absorbed b's nodes); the
-    // ancestor cone is stamped in bulk by propagateDirty() at rebuild.
-    // The winner's pre-merge stamp is deliberately not journaled: after
-    // rollback a stale-high stamp merely triggers a spurious re-scan.
-    modified_[a] = ++tick_;
-    dirty_since_rebuild_.push_back(a);
+    ++tick_;
+    merge_pending_ = true;
     worklist_.push_back(a);
     for (auto &analysis : analyses_)
         analysis->onModify(*this, a);
@@ -327,8 +321,8 @@ EGraph::merge(EClassId a, EClassId b, std::string reason)
 void
 EGraph::rebuild()
 {
-    if (!worklist_.empty() || !dirty_since_rebuild_.empty())
-        beforeOverwrite(); // both lists are drained below
+    if (!worklist_.empty())
+        beforeOverwrite(); // drained below
     while (!worklist_.empty()) {
         std::vector<EClassId> todo;
         todo.swap(worklist_);
@@ -337,44 +331,15 @@ EGraph::rebuild()
         for (EClassId id : todo)
             repair(find(id));
     }
-    propagateDirty();
+    if (merge_pending_) {
+        ++tick_;
+        merge_pending_ = false;
+    }
     // Re-anchor the byte accounting on malloc truth (satisfying the
     // governor's honesty contract at million-node scale).
     exact_bytes_ = exactBytes();
     est_bytes_pending_ = 0;
     syncMemCharge(/*force=*/true);
-}
-
-void
-EGraph::propagateDirty()
-{
-    // A pattern match rooted at class C depends on every class in C's
-    // reachable child cone: a node added to, or a merge applied at, any
-    // descendant can create a new match at C. Walking *up* the parent
-    // lists from every merge winner and stamping the whole ancestor cone
-    // makes "modified <= watermark" a sound reason to skip a class
-    // during incremental e-matching. (Fresh adds need no propagation:
-    // a new class sits above its children, never below an existing one.)
-    if (dirty_since_rebuild_.empty())
-        return;
-    uint64_t stamp = ++tick_;
-    std::vector<EClassId> queue;
-    queue.reserve(dirty_since_rebuild_.size());
-    for (EClassId id : dirty_since_rebuild_)
-        queue.push_back(find(id));
-    dirty_since_rebuild_.clear();
-    while (!queue.empty()) {
-        EClassId id = queue.back();
-        queue.pop_back();
-        if (modified_[id] == stamp)
-            continue; // already visited this propagation
-        modified_[id] = stamp;
-        for (const auto &[node, parent] : classes_[id].parents) {
-            EClassId canon = find(parent);
-            if (modified_[canon] != stamp)
-                queue.push_back(canon);
-        }
-    }
 }
 
 const OpBucket *
@@ -582,7 +547,7 @@ EGraph::checkpoint()
     open.proof_size = proof_edges_.size();
     open.num_ids = parents_.size();
     open.worklist_size = worklist_.size();
-    open.dirty_size = dirty_since_rebuild_.size();
+    open.merge_pending = merge_pending_;
     return Checkpoint{open.token};
 }
 
@@ -599,8 +564,6 @@ EGraph::snapshotOpenCheckpoints()
                            parents_.begin() + it->num_ids);
         it->worklist.assign(worklist_.begin(),
                             worklist_.begin() + it->worklist_size);
-        it->dirty.assign(dirty_since_rebuild_.begin(),
-                         dirty_since_rebuild_.begin() + it->dirty_size);
         it->snapshotted = true;
         ++checkpoint_snapshots_;
     }
@@ -694,24 +657,20 @@ EGraph::rollback(const Checkpoint &cp)
     if (open.snapshotted) {
         parents_ = std::move(open.parents);
         worklist_ = std::move(open.worklist);
-        dirty_since_rebuild_ = std::move(open.dirty);
     } else {
         parents_.resize(open.num_ids);
         worklist_.resize(open.worklist_size);
-        dirty_since_rebuild_.resize(open.dirty_size);
     }
+    merge_pending_ = open.merge_pending;
     SEER_ASSERT(classes_.size() == parents_.size(),
                 "journal replay left class storage at "
                     << classes_.size() << " slots for "
                     << parents_.size() << " ids");
-    modified_.resize(parents_.size());
     proof_edges_.resize(open.proof_size);
     for (auto &analysis : analyses_)
         analysis->onRollback(*this, parents_.size());
     open_.pop_back();
-    // Timestamps are monotonic and deliberately not journaled, so a
-    // rollback can only be signalled out-of-band: bump the generation so
-    // incremental matchers drop their caches and fully re-scan.
+    // tick() never moves back, so a rollback is signalled out-of-band.
     ++rollback_generation_;
     exact_bytes_ = exactBytes();
     est_bytes_pending_ = 0;

@@ -186,22 +186,19 @@ class EGraph
     const OpBucket *opCandidates(Symbol op, size_t arity) const;
 
     /**
-     * Monotonic modification clock. Every structural change (class
-     * creation, merge, dirty-cone propagation in rebuild) stamps the
-     * affected classes with a fresh tick. Never decreases, not even
-     * across rollback — a stale-high stamp only causes a spurious
-     * re-scan, never a missed match.
+     * Monotonic modification clock: advances on every add() that
+     * creates a class, on every merge, and once in each rebuild() that
+     * follows merges (including merges a rollback reinstated as
+     * pending). Never decreases, not even across rollback. Caches of
+     * per-class derived state (the greedy extraction memo, the
+     * external-rule sync) are valid only while it is unchanged.
      */
     uint64_t tick() const { return tick_; }
 
-    /** Modification stamp of a class (canonical representative's). */
-    uint64_t timestampOf(EClassId id) const { return modified_[find(id)]; }
-
     /**
-     * Bumped by every rollback(). Incremental matchers must discard
-     * watermark state and cached matches when this changes: rollback is
-     * the one mutation that can make matches *disappear*, which
-     * timestamps (monotonic) cannot express.
+     * Bumped by every rollback(). Rollback can take the graph back to
+     * an earlier state without moving tick() backwards, so caches keyed
+     * on tick() must also check this.
      */
     uint64_t rollbackGeneration() const { return rollback_generation_; }
 
@@ -228,8 +225,8 @@ class EGraph
     size_t approxBytes() const;
 
     /**
-     * Exact owned bytes of every storage structure (union-find, stamps,
-     * classes with spilled children, hashcons, op index, journal and
+     * Exact owned bytes of every storage structure (union-find, classes
+     * with spilled children, hashcons, op index, journal and
      * proof arrays). O(graph) — rebuild/rollback call this to re-anchor
      * the incremental estimate; tests and benches may call it directly.
      */
@@ -250,11 +247,10 @@ class EGraph
      * one checkpoint is open, every structural mutation (hashcons
      * insert/update, class creation, merge, repair rewrite, analysis
      * constant) is recorded in an undo journal. The flat union-find
-     * array, the pending worklist and the dirty list are not journaled:
-     * opening a checkpoint records only their sizes, and they are
-     * copied at the first write that overwrites an entry (a merge, a
-     * rebuild with work to do, or a path-halving find that changes a
-     * link). Appends (add()) leave the recorded prefix intact, so a
+     * array and the pending worklist are not journaled: opening a
+     * checkpoint records only their sizes, and they are copied at the
+     * first write that overwrites an entry (a merge, a rebuild with
+     * work to do, or a path-halving find that changes a link). Appends (add()) leave the recorded prefix intact, so a
      * checkpoint resolved before any such write costs no copy; its
      * rollback truncates the arrays back to the recorded sizes. The
      * undo state lives in the e-graph; the token only names it.
@@ -271,10 +267,9 @@ class EGraph
 
     /**
      * Restore the e-graph to the exact state it had when `cp` was
-     * opened: the journal is undone in reverse, then the union-find,
-     * worklist and dirty list are reinstated (from their copies, or by
-     * truncation when nothing overwrote them) and the proof graph
-     * truncated. Ids created after the checkpoint become invalid again.
+     * opened: the journal is undone in reverse, then the union-find and
+     * worklist are reinstated (from their copies, or by truncation when
+     * nothing overwrote them) and the proof graph truncated. Ids created after the checkpoint become invalid again.
      */
     void rollback(const Checkpoint &cp);
 
@@ -288,8 +283,8 @@ class EGraph
     /** Checkpoints ever opened on this graph. */
     uint64_t numCheckpoints() const { return checkpoint_serial_; }
 
-    /** Checkpoints whose union-find, worklist and dirty list had to be
-     *  copied because a write overwrote them while they were open. */
+    /** Checkpoints whose union-find and worklist had to be copied
+     *  because a write overwrote them while they were open. */
     uint64_t numCheckpointSnapshots() const { return checkpoint_snapshots_; }
 
     /**
@@ -349,18 +344,17 @@ class EGraph
         size_t proof_size = 0;
         size_t num_ids = 0;
         size_t worklist_size = 0;
-        size_t dirty_size = 0;
-        /** The three arrays below hold the state at open time. */
+        bool merge_pending = false;
+        /** The two arrays below hold the state at open time. */
         bool snapshotted = false;
         std::vector<EClassId> parents;
         std::vector<EClassId> worklist;
-        std::vector<EClassId> dirty;
     };
 
     bool journaling() const { return !open_.empty(); }
-    /** Call before overwriting an entry of parents_, worklist_ or
-     *  dirty_since_rebuild_: copies them for every open checkpoint that
-     *  has not been copied yet. */
+    /** Call before overwriting an entry of parents_ or worklist_:
+     *  copies them for every open checkpoint that has not been copied
+     *  yet. */
     void beforeOverwrite()
     {
         if (!open_.empty() && !open_.back().snapshotted)
@@ -373,8 +367,6 @@ class EGraph
     ENode canonicalize(ENode node) const;
     ENode canonicalize(ENode node); ///< compressing-find variant
     void repair(EClassId id);
-    /** Stamp the ancestor cone of merge-dirtied classes (rebuild tail). */
-    void propagateDirty();
 
     /** Registered analyses; const-fold (when hooked) is cached below. */
     std::vector<std::unique_ptr<Analysis>> analyses_;
@@ -388,18 +380,6 @@ class EGraph
     uint64_t checkpoint_serial_ = 0;
     uint64_t checkpoint_snapshots_ = 0;
     std::vector<EClassId> parents_; // union-find
-    /**
-     * Modification stamps, indexed by class id in lockstep with
-     * parents_ (see tick()): the tick at which the class last changed
-     * in a way that can affect e-matching — creation, absorbing another
-     * class, or (transitively, via rebuild's dirty-cone propagation)
-     * any change in its reachable child cone. A dense array rather than
-     * an EClass field so the incremental matcher's per-candidate
-     * timestamp filter is an array read, not a hash lookup. Stamps are
-     * monotonic and never journaled; rollback merely truncates to the
-     * restored id space (re-added ids get fresh stamps anyway).
-     */
-    std::vector<uint64_t> modified_;
     /** Proof graph: one adjacency list entry per union, labelled with
      *  the justification. */
     std::vector<std::vector<std::pair<EClassId, std::string>>>
@@ -421,9 +401,8 @@ class EGraph
     std::vector<EClassId> worklist_;
     /** (op, arity) -> class ids at add time (see opCandidates()). */
     OpIndex op_index_;
-    /** Winners of merges since the last rebuild: the seeds of the
-     *  dirty-cone timestamp propagation. */
-    std::vector<EClassId> dirty_since_rebuild_;
+    /** A merge happened since the last rebuild (see tick()). */
+    bool merge_pending_ = false;
     uint64_t tick_ = 0;
     uint64_t rollback_generation_ = 0;
     /** Live node count across all classes, maintained incrementally so

@@ -275,76 +275,33 @@ namespace {
 
 /**
  * The candidate classes of `pattern`, canonicalized, deduplicated and
- * sorted ascending. With `use_watermark`, classes stamped at or below
- * `watermark` are skipped (and counted) before the sort.
+ * sorted ascending.
  */
 std::vector<EClassId>
 candidateClasses(const EGraph &egraph, const CompiledPattern &cp,
-                 uint64_t watermark, bool use_watermark, EMatchStats &st)
+                 EMatchStats &st)
 {
-    std::vector<EClassId> candidates;
-
-    if (cp.rootIsVar()) {
-        // A bare variable matches every class: nothing to index by.
-        // classIds() is already ascending and duplicate-free.
-        for (EClassId id : egraph.classIds()) {
-            if (use_watermark && egraph.timestampOf(id) <= watermark) {
-                ++st.skipped_clean;
-                continue;
-            }
-            candidates.push_back(id);
-        }
-        return candidates;
-    }
+    // A bare variable matches every class: nothing to index by.
+    // classIds() is already ascending and duplicate-free.
+    if (cp.rootIsVar())
+        return egraph.classIds();
 
     st.used_index = true;
+    std::vector<EClassId> candidates;
     const OpBucket *raw =
         egraph.opCandidates(cp.rootOp(), cp.rootArity());
     if (!raw)
         return candidates;
     // Canonicalize, sort, and deduplicate the raw candidate entries so
-    // iteration order (ascending canonical id) matches a full scan. On
-    // incremental scans the watermark filter runs *before* the sort:
-    // on a mostly-quiet graph that reduces the per-call cost from
-    // sorting every entry ever added to sorting just the dirty few.
+    // iteration order (ascending canonical id) matches a full scan.
     candidates.reserve(raw->size());
-    if (use_watermark) {
-        for (EClassId entry : *raw) {
-            EClassId id = egraph.find(entry);
-            if (egraph.timestampOf(id) <= watermark) {
-                ++st.skipped_clean;
-                continue;
-            }
-            candidates.push_back(id);
-        }
-    } else {
-        for (EClassId entry : *raw)
-            candidates.push_back(egraph.find(entry));
-    }
+    for (EClassId entry : *raw)
+        candidates.push_back(egraph.find(entry));
     std::sort(candidates.begin(), candidates.end());
     candidates.erase(
         std::unique(candidates.begin(), candidates.end()),
         candidates.end());
     return candidates;
-}
-
-std::vector<Match>
-ematchImpl(const EGraph &egraph, const Pattern &pattern,
-           uint64_t watermark, bool use_watermark, size_t limit,
-           EMatchStats *stats)
-{
-    EMatchStats local;
-    EMatchStats &st = stats ? *stats : local;
-    const CompiledPattern &cp = pattern.compiled();
-    std::vector<Match> out;
-    MatchMachine machine(egraph, cp);
-    for (EClassId root :
-         candidateClasses(egraph, cp, watermark, use_watermark, st)) {
-        ++st.candidates_visited;
-        if (!machine.matchAt(root, out, limit))
-            break;
-    }
-    return out;
 }
 
 } // namespace
@@ -389,14 +346,17 @@ std::vector<Match>
 ematch(const EGraph &egraph, const Pattern &pattern, size_t limit,
        EMatchStats *stats)
 {
-    return ematchImpl(egraph, pattern, 0, false, limit, stats);
-}
-
-std::vector<Match>
-ematchDirty(const EGraph &egraph, const Pattern &pattern,
-            uint64_t watermark, size_t limit, EMatchStats *stats)
-{
-    return ematchImpl(egraph, pattern, watermark, true, limit, stats);
+    EMatchStats local;
+    EMatchStats &st = stats ? *stats : local;
+    const CompiledPattern &cp = pattern.compiled();
+    std::vector<Match> out;
+    MatchMachine machine(egraph, cp);
+    for (EClassId root : candidateClasses(egraph, cp, st)) {
+        ++st.candidates_visited;
+        if (!machine.matchAt(root, out, limit))
+            break;
+    }
+    return out;
 }
 
 std::vector<Match>

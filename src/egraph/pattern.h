@@ -10,10 +10,9 @@
  * is compiled once into a flat instruction program (an egg-style virtual
  * machine with pre-numbered variable slots and an explicit backtracking
  * stack), and root candidates come from the e-graph's (op, arity) index
- * instead of a whole-graph scan. A timestamp-filtered variant
- * (ematchDirty) supports the runner's incremental re-matching. The
- * pre-index recursive matcher is kept as ematchNaive: it is the
- * reference implementation differential tests compare against.
+ * instead of a whole-graph scan. The pre-index recursive matcher is
+ * kept as ematchNaive: it is the reference implementation differential
+ * tests compare against.
  */
 #ifndef SEER_EGRAPH_PATTERN_H_
 #define SEER_EGRAPH_PATTERN_H_
@@ -136,9 +135,6 @@ struct EMatchStats
 {
     /** Candidate classes actually matched against. */
     size_t candidates_visited = 0;
-    /** Candidates skipped because their stamp was at or below the
-     *  watermark (ematchDirty only). */
-    size_t skipped_clean = 0;
     /** True when the (op, arity) index pruned the candidate set (false
      *  for bare-variable patterns, which must scan every class). */
     bool used_index = false;
@@ -153,18 +149,6 @@ struct EMatchStats
  */
 std::vector<Match> ematch(const EGraph &egraph, const Pattern &pattern,
                           size_t limit = 0, EMatchStats *stats = nullptr);
-
-/**
- * Incremental e-matching: like ematch, but only candidate classes whose
- * modification stamp is strictly above `watermark` are searched. Sound
- * only on a rebuilt graph (rebuild() propagates dirtiness to ancestor
- * classes) and only while EGraph::rollbackGeneration() is unchanged
- * since the watermark was taken.
- */
-std::vector<Match> ematchDirty(const EGraph &egraph,
-                               const Pattern &pattern, uint64_t watermark,
-                               size_t limit = 0,
-                               EMatchStats *stats = nullptr);
 
 /**
  * The pre-index reference matcher: walks every class and matches with a

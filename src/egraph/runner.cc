@@ -41,7 +41,6 @@ toJson(const RuleStats &stats)
     out.set("search_seconds", stats.search_seconds);
     out.set("apply_seconds", stats.apply_seconds);
     out.set("search_candidates", stats.search_candidates);
-    out.set("search_skipped_clean", stats.search_skipped_clean);
     return out;
 }
 
@@ -50,11 +49,8 @@ toJson(const MatchPhaseStats &stats)
 {
     json::Value out{json::Object{}};
     out.set("candidates_visited", stats.candidates_visited);
-    out.set("skipped_clean", stats.skipped_clean);
-    out.set("cached_matches_reused", stats.cached_matches_reused);
     out.set("index_scans", stats.index_scans);
     out.set("full_scans", stats.full_scans);
-    out.set("incremental_scans", stats.incremental_scans);
     size_t scans = stats.index_scans + stats.full_scans;
     out.set("index_hit_rate",
             scans == 0 ? 0.0
@@ -126,78 +122,21 @@ Runner::banSpanFor(const RuleState &state) const
 }
 
 std::vector<Match>
-Runner::search(size_t r, uint64_t scan_tick, RunnerReport &report)
+Runner::search(size_t r, RunnerReport &report)
 {
-    RuleState &state = states_[r];
     MatchPhaseStats &mp = report.match_phase;
     const Pattern &lhs = *rules_[r].lhs;
-    const size_t limit = thresholdFor(state) + 1;
+    const size_t limit = thresholdFor(states_[r]) + 1;
     if (options_.naive_match) {
         ++mp.full_scans;
         return ematchNaive(egraph_, lhs, limit);
     }
-    const bool dirty = options_.incremental_match && state.cache_valid;
     EMatchStats es;
-    std::vector<Match> fresh =
-        dirty ? ematchDirty(egraph_, lhs, state.watermark, limit, &es)
-              : ematch(egraph_, lhs, limit, &es);
+    std::vector<Match> matches = ematch(egraph_, lhs, limit, &es);
     es.used_index ? ++mp.index_scans : ++mp.full_scans;
     mp.candidates_visited += es.candidates_visited;
-    mp.skipped_clean += es.skipped_clean;
     report.rules[r].search_candidates += es.candidates_visited;
-    report.rules[r].search_skipped_clean += es.skipped_clean;
-    if (!dirty) {
-        if (options_.incremental_match && fresh.size() < limit) {
-            // Untruncated: this is the complete match set.
-            state.cache = fresh;
-            state.watermark = scan_tick;
-            state.cache_valid = true;
-        } else {
-            state.cache_valid = false;
-            state.cache.clear();
-        }
-        return fresh;
-    }
-    // Incremental scan. A class whose stamp is at or below the
-    // watermark can neither gain nor lose matches (rebuild stamps the
-    // whole ancestor cone of every change), so cached matches rooted at
-    // still-canonical clean classes are reused verbatim and only dirty
-    // classes were re-searched. Both lists are ordered by ascending
-    // root id and their root sets are disjoint (clean vs. dirty), so
-    // the two-way merge reproduces the full-scan order — and therefore
-    // backoff/ban behavior — exactly.
-    ++mp.incremental_scans;
-    const bool fresh_complete = fresh.size() < limit;
-    std::vector<Match> merged;
-    merged.reserve(state.cache.size() + fresh.size());
-    size_t fi = 0;
-    for (const Match &cached : state.cache) {
-        if (egraph_.find(cached.root) != cached.root ||
-            egraph_.timestampOf(cached.root) > state.watermark) {
-            // Dirty or absorbed root: re-found (or legitimately gone)
-            // in `fresh`.
-            continue;
-        }
-        while (fi < fresh.size() && fresh[fi].root < cached.root)
-            merged.push_back(std::move(fresh[fi++]));
-        merged.push_back(cached);
-        ++mp.cached_matches_reused;
-    }
-    while (fi < fresh.size())
-        merged.push_back(std::move(fresh[fi++]));
-    if (fresh_complete) {
-        state.cache = merged;
-        state.watermark = scan_tick;
-    } else {
-        // `fresh` was truncated at the budget: the merged prefix below
-        // is still exact, but the complete set is unknown — rescan next
-        // time.
-        state.cache_valid = false;
-        state.cache.clear();
-    }
-    if (merged.size() > limit)
-        merged.resize(limit);
-    return merged;
+    return matches;
 }
 
 RunnerReport
@@ -260,11 +199,6 @@ Runner::run()
         }
     };
 
-    // Incremental caches are only sound while no rollback happened:
-    // a rollback can make matches disappear, which monotonic timestamps
-    // cannot express. Any generation change forces a full rescan.
-    uint64_t last_generation = egraph_.rollbackGeneration();
-
     bool timed_out = false;
     bool canceled = false;
     report.stop = StopReason::IterLimit;
@@ -273,14 +207,6 @@ Runner::run()
         IterationStats stats;
         stats.iter = iter;
         failures_this_iter = 0;
-
-        if (egraph_.rollbackGeneration() != last_generation) {
-            last_generation = egraph_.rollbackGeneration();
-            for (RuleState &state : states_) {
-                state.cache_valid = false;
-                state.cache.clear();
-            }
-        }
 
         std::vector<size_t> active;
         size_t banned_now = 0;
@@ -335,10 +261,6 @@ Runner::run()
             Match match;
         };
         std::vector<std::vector<Match>> per_rule(rules_.size());
-        // Every stamp written after this point is greater than
-        // scan_tick, so it is a sound watermark for any cache refreshed
-        // this iteration (the search never mutates the e-graph).
-        const uint64_t scan_tick = egraph_.tick();
         auto phase_start = Clock::now();
         for (size_t r : active) {
             if (options_.exec.canceled()) {
@@ -351,12 +273,10 @@ Runner::run()
             }
             auto t0 = Clock::now();
             try {
-                per_rule[r] = search(r, scan_tick, report);
+                per_rule[r] = search(r, report);
             } catch (const FatalError &err) {
                 if (!options_.catch_rule_errors)
                     throw;
-                states_[r].cache_valid = false;
-                states_[r].cache.clear();
                 record_failure(r, err.what());
             } catch (const std::bad_alloc &) {
                 // Allocation failure while searching one rule is that
@@ -364,8 +284,6 @@ Runner::run()
                 // mutated.
                 if (!options_.catch_rule_errors)
                     throw;
-                states_[r].cache_valid = false;
-                states_[r].cache.clear();
                 record_failure(r, "allocation failure during search "
                                   "(contained)");
             }

@@ -94,35 +94,29 @@ struct RuleStats
     double search_seconds = 0;
     double apply_seconds = 0;
     size_t search_candidates = 0; ///< classes actually matched against
-    size_t search_skipped_clean = 0; ///< skipped via watermark
 };
 
 /**
  * Aggregate e-matching instrumentation for one run: how much work the
- * operator index, the watermarks, and the match cache saved.
+ * operator index saved. Every search rescans the whole candidate set.
  */
 struct MatchPhaseStats
 {
     /** Candidate classes actually run through the match machine. */
     size_t candidates_visited = 0;
-    /** Candidates skipped because their class was unmodified since the
-     *  rule's watermark. */
-    size_t skipped_clean = 0;
-    /** Previously found matches reused verbatim (clean roots). */
-    size_t cached_matches_reused = 0;
     /** ematch calls where the (op, arity) index pruned candidates. */
     size_t index_scans = 0;
     /** ematch calls that had to scan every class (bare-variable
      *  patterns, or the naive reference matcher). */
     size_t full_scans = 0;
-    /** Watermark-filtered (incremental) searches. */
-    size_t incremental_scans = 0;
     /** Wall-clock time spent inside the search phases. */
     double search_wall_seconds = 0;
     // Kept (out of the JSON) only because bench/e2e/seer_bench.cc reads
-    // them: summed per-rule search time, and a search that is serial.
+    // them: summed per-rule search time, a search that is serial, and
+    // a watermark skip count that full rescans leave at 0.
     double shard_seconds = 0;
     size_t jobs = 1;
+    size_t skipped_clean = 0;
 };
 
 struct RunnerOptions
@@ -157,20 +151,8 @@ struct RunnerOptions
      *  (distinct from backoff bans, which always expire). */
     size_t quarantine_after = 3;
     /** Use the pre-index whole-graph reference matcher (ematchNaive)
-     *  instead of the indexed compiled one. For differential testing;
-     *  implies no incremental matching. */
+     *  instead of the indexed compiled one. For differential testing. */
     bool naive_match = false;
-    /**
-     * Reuse each rule's previous full match set and re-search only
-     * classes modified since that rule's last scan (timestamp
-     * watermarks). Produces exactly the same per-iteration match lists
-     * as a full scan — clean classes can neither gain nor lose matches
-     * — so scheduler behavior is unchanged. Falls back to a full rescan
-     * whenever the e-graph's rollback generation changes (fault
-     * isolation can make matches disappear, which watermarks cannot
-     * see).
-     */
-    bool incremental_match = true;
     /** Unified governance: the context's deadline tightens
      *  time_limit_seconds when it expires sooner (the driver threads
      *  its --deadline through every phase this way), and cancellation
@@ -233,13 +215,6 @@ class Runner
         size_t clean_streak = 0; ///< consecutive under-budget iterations
         size_t consecutive_failures = 0; ///< recovered errors in a row
         bool quarantined = false; ///< circuit breaker tripped
-        /** Incremental matching: the tick at which `cache` was last
-         *  refreshed (valid only while cache_valid). */
-        uint64_t watermark = 0;
-        /** True when `cache` holds this rule's complete, untruncated
-         *  match set as of `watermark`. */
-        bool cache_valid = false;
-        std::vector<Match> cache;
     };
 
     /** Effective match budget: match_limit << times_banned, saturating. */
@@ -248,10 +223,9 @@ class Runner
     /** Ban span for the *next* ban: ban_length << times_banned. */
     size_t banSpanFor(const RuleState &state) const;
 
-    /** Search rule `r` up to its budget + 1, refresh its match cache
-     *  (watermark `scan_tick`) and account the search in `report`. */
-    std::vector<Match> search(size_t r, uint64_t scan_tick,
-                              RunnerReport &report);
+    /** Search rule `r` over the whole e-graph up to its budget + 1 and
+     *  account the search in `report`. */
+    std::vector<Match> search(size_t r, RunnerReport &report);
 
     EGraph &egraph_;
     RunnerOptions options_;

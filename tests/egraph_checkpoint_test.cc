@@ -326,14 +326,14 @@ TEST(LazySnapshotTest, AddOnlyRollbackTruncates)
         EXPECT_FALSE(eg.lookup(node("h")).has_value());
         EXPECT_EQ(eg.debugCheckInvariants(), "");
     }
-    // A merge pending rebuild at open: its worklist and dirty-list
-    // entries survive the truncation.
+    // A merge pending rebuild at open: its worklist entry and its
+    // pending-merge mark survive the truncation.
     {
         EGraph eg;
         EClassId a = eg.add(node("a"));
         EClassId b = eg.add(node("b"));
         EClassId c = eg.add(node("c"));
-        EClassId fa = eg.add(node("f", {a}));
+        eg.add(node("f", {a}));
         eg.rebuild();
         eg.merge(a, c, "pending");
         ASSERT_EQ(eg.find(c), a);
@@ -346,11 +346,35 @@ TEST(LazySnapshotTest, AddOnlyRollbackTruncates)
         EXPECT_EQ(eg.numCheckpointSnapshots(), 0u);
         EXPECT_FALSE(eg.isClean());
 
+        // The reinstated merge is still pending, so the rebuild that
+        // follows it advances tick() once; one with nothing pending
+        // does not.
+        uint64_t tick = eg.tick();
         eg.rebuild();
-        // The dirty list still named the merge winner, so rebuild
-        // stamped its ancestor cone with the newest tick.
-        EXPECT_EQ(eg.timestampOf(a), eg.tick());
-        EXPECT_EQ(eg.timestampOf(fa), eg.tick());
+        EXPECT_EQ(eg.tick(), tick + 1);
+        eg.rebuild();
+        EXPECT_EQ(eg.tick(), tick + 1);
+        EXPECT_EQ(eg.numClasses(), 3u);
+        EXPECT_EQ(eg.debugCheckInvariants(), "");
+    }
+    // A merge made inside a checkpoint opened on a rebuilt graph is
+    // rolled back with its pending mark: the next rebuild, even with
+    // repair work queued, leaves tick() alone.
+    {
+        EGraph eg;
+        EClassId a = eg.add(node("a"));
+        EClassId b = eg.add(node("b"));
+        eg.add(node("f", {a}));
+        eg.rebuild();
+
+        EGraph::Checkpoint cp = eg.checkpoint();
+        eg.merge(a, b, "undone");
+        eg.rollback(cp);
+        eg.analysisRequeue(a);
+        ASSERT_FALSE(eg.isClean());
+        uint64_t tick = eg.tick();
+        eg.rebuild();
+        EXPECT_EQ(eg.tick(), tick);
         EXPECT_EQ(eg.numClasses(), 3u);
         EXPECT_EQ(eg.debugCheckInvariants(), "");
     }

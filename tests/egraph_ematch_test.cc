@@ -1,6 +1,6 @@
 /**
- * Differential tests for the indexed / incremental e-matcher: the
- * compiled, index-driven path (ematch / ematchDirty) must produce the
+ * Differential tests for the indexed e-matcher: the compiled,
+ * index-driven path (ematch) must produce the
  * exact match list — same set, same order — as the pre-index reference
  * matcher (ematchNaive), on randomized e-graphs, across random union
  * sequences, and across checkpoint/rollback.
@@ -16,17 +16,6 @@
 
 namespace seer::eg {
 namespace {
-
-/** Canonicalize a match so lists taken at different times compare. */
-Match
-canon(const EGraph &eg, const Match &m)
-{
-    Match out;
-    out.root = eg.find(m.root);
-    for (const auto &[var, id] : m.subst)
-        out.subst[var] = eg.find(id);
-    return out;
-}
 
 bool
 sameMatch(const Match &a, const Match &b)
@@ -127,55 +116,6 @@ TEST(EMatchDifferentialTest, LimitTruncatesIdenticalPrefix)
     }
 }
 
-/** ematchDirty(watermark) + the surviving clean-rooted old matches must
- *  reassemble exactly the fresh full match list (the runner's cache
- *  merge invariant). */
-TEST(EMatchDifferentialTest, DirtyPlusCleanCacheEqualsFullRescan)
-{
-    for (uint32_t seed = 100; seed < 104; ++seed) {
-        RandomGraph g(seed);
-        std::mt19937 rng(seed * 7 + 1);
-        for (const PatternPtr &p : patternPool()) {
-            auto before = ematch(g.eg, *p);
-            uint64_t watermark = g.eg.tick();
-
-            // Mutate: a few adds and unions, then rebuild (dirtiness
-            // propagates to ancestor cones only at rebuild).
-            for (int i = 0; i < 6; ++i) {
-                ENode node{Symbol("f"),
-                           {g.ids[rng() % g.ids.size()],
-                            g.ids[rng() % g.ids.size()]}};
-                g.ids.push_back(g.eg.add(node));
-            }
-            g.eg.merge(g.ids[rng() % g.ids.size()],
-                       g.ids[rng() % g.ids.size()]);
-            g.eg.rebuild();
-
-            auto full = ematch(g.eg, *p);
-            auto dirty = ematchDirty(g.eg, *p, watermark);
-
-            std::vector<Match> merged;
-            size_t di = 0;
-            for (const Match &m : before) {
-                if (g.eg.find(m.root) != m.root)
-                    continue; // root lost its canonicity: superseded
-                if (g.eg.timestampOf(m.root) > watermark)
-                    continue; // dirty root: re-found by ematchDirty
-                while (di < dirty.size() && dirty[di].root < m.root)
-                    merged.push_back(canon(g.eg, dirty[di++]));
-                merged.push_back(canon(g.eg, m));
-            }
-            while (di < dirty.size())
-                merged.push_back(canon(g.eg, dirty[di++]));
-
-            std::vector<Match> full_canon;
-            for (const Match &m : full)
-                full_canon.push_back(canon(g.eg, m));
-            expectSameMatchList(merged, full_canon, p->str().c_str());
-        }
-    }
-}
-
 TEST(EMatchDifferentialTest, MatchesRestoredAcrossRollback)
 {
     for (uint32_t seed = 7; seed < 10; ++seed) {
@@ -200,7 +140,7 @@ TEST(EMatchDifferentialTest, MatchesRestoredAcrossRollback)
 
         ASSERT_EQ(g.eg.debugCheckInvariants(), "") << "seed " << seed;
         EXPECT_GT(g.eg.rollbackGeneration(), generation)
-            << "rollback must invalidate incremental caches";
+            << "rollback must invalidate tick-keyed caches";
         for (size_t i = 0; i < pool.size(); ++i) {
             auto after = ematch(g.eg, *pool[i]);
             auto naive = ematchNaive(g.eg, *pool[i]);
@@ -210,7 +150,7 @@ TEST(EMatchDifferentialTest, MatchesRestoredAcrossRollback)
     }
 }
 
-TEST(EMatchDifferentialTest, StatsReflectIndexAndWatermark)
+TEST(EMatchDifferentialTest, StatsReflectIndex)
 {
     RandomGraph g(3);
     PatternPtr p = parsePattern("(f ?x ?y)");
@@ -219,14 +159,6 @@ TEST(EMatchDifferentialTest, StatsReflectIndexAndWatermark)
     ematch(g.eg, *p, 0, &stats);
     EXPECT_TRUE(stats.used_index);
     EXPECT_GT(stats.candidates_visited, 0u);
-
-    // Nothing changed since the current tick: the watermark filters
-    // every candidate out.
-    EMatchStats clean;
-    auto none = ematchDirty(g.eg, *p, g.eg.tick(), 0, &clean);
-    EXPECT_TRUE(none.empty());
-    EXPECT_EQ(clean.candidates_visited, 0u);
-    EXPECT_GT(clean.skipped_clean, 0u);
 
     // Bare variable: no head operator to index on.
     EMatchStats bare;
@@ -260,7 +192,6 @@ observe(const EGraph &eg, RunnerReport report)
         rule.search_seconds = 0;
         rule.apply_seconds = 0;
         rule.search_candidates = 0;
-        rule.search_skipped_clean = 0;
     }
     for (IterationStats &it : report.iterations)
         it.seconds = 0;
@@ -294,7 +225,6 @@ matcherOptions(bool naive)
 {
     RunnerOptions options;
     options.naive_match = naive;
-    options.incremental_match = !naive;
     return options;
 }
 
@@ -319,8 +249,8 @@ roverRun(bool naive)
 /**
  * A random graph with a fan of f-nodes far wider than one match budget,
  * under static and dynamic rules: backoff truncation and bans, a
- * crashing rule whose rolled-back applications invalidate every
- * incremental cache and end in quarantine, and a flaky rule that fails
+ * crashing rule whose applications are rolled back and end in
+ * quarantine, and a flaky rule that fails
  * on some of its matches.
  */
 RunOutcome
@@ -354,9 +284,8 @@ faultyFanRun(uint32_t seed, bool naive)
     runner.addRule(makeRewrite("comm", "(f ?x ?y)", "(f ?y ?x)"));
     runner.addRule(makeRewrite("widen", "(g ?x)", "(h ?x ?x)"));
     runner.addRule(makeRewrite("narrow", "(h ?x ?y)", "(g ?x)"));
-    // Always throws: every application rolls its checkpoint back
-    // (bumping the rollback generation, which invalidates every
-    // incremental cache) and the circuit breaker quarantines it.
+    // Always throws: every application rolls its checkpoint back and
+    // the circuit breaker quarantines it.
     runner.addRule(makeDynRewrite(
         "crash", "(k ?a ?b ?c)",
         [](EGraph &, const Match &) -> std::optional<TermPtr> {
@@ -384,7 +313,7 @@ faultyFanRun(uint32_t seed, bool naive)
 }
 
 /** End-to-end: a rover saturation run must be bit-identical between the
- *  naive reference matcher and the indexed + incremental default. */
+ *  naive reference matcher and the indexed default. */
 TEST(RunnerDifferentialTest, NaiveAndIndexedRunsAreIdentical)
 {
     expectSameOutcome(roverRun(false), roverRun(true), "rover");
@@ -403,8 +332,7 @@ TEST(RunnerDifferentialTest, FaultyFanRunsAreMatcherInvariant)
 
 /** A mid-run *external* rollback (a caller checkpoint spanning runner
  *  activity: the phase-rollback pattern core/seer.cc uses) must rewind
- *  the graph so completely that a rerun on it equals a fresh run: no
- *  stale stamp or cached match may leak into the second runner. With
+ *  the graph so completely that a rerun on it equals a fresh run. With
  *  the search serial, this is what is left of job invariance here. */
 TEST(RunnerDifferentialTest, ExternalCheckpointRollbackIsJobInvariant)
 {

@@ -218,17 +218,18 @@ TEST(RuleStatsTest, ReportSerializesToJson)
     EXPECT_NE(text.find("\"bans\": 1"), std::string::npos);
     // Match-phase instrumentation: per-rule search counters plus the
     // aggregated match_phase block. Existing keys above must stay
-    // stable — downstream consumers parse this schema.
+    // stable — downstream consumers parse this schema. Every search is
+    // a full rescan, so no watermark or match-cache counter is left.
     EXPECT_NE(text.find("\"search_candidates\""), std::string::npos);
-    EXPECT_NE(text.find("\"search_skipped_clean\""), std::string::npos);
     EXPECT_NE(text.find("\"match_phase\""), std::string::npos);
     EXPECT_NE(text.find("\"candidates_visited\""), std::string::npos);
-    EXPECT_NE(text.find("\"skipped_clean\""), std::string::npos);
-    EXPECT_NE(text.find("\"cached_matches_reused\""), std::string::npos);
     EXPECT_NE(text.find("\"index_scans\""), std::string::npos);
     EXPECT_NE(text.find("\"full_scans\""), std::string::npos);
-    EXPECT_NE(text.find("\"incremental_scans\""), std::string::npos);
     EXPECT_NE(text.find("\"index_hit_rate\""), std::string::npos);
+    EXPECT_NE(text.find("\"search_wall_seconds\""), std::string::npos);
+    EXPECT_EQ(text.find("skipped_clean"), std::string::npos);
+    EXPECT_EQ(text.find("cached_matches_reused"), std::string::npos);
+    EXPECT_EQ(text.find("incremental_scans"), std::string::npos);
 }
 
 TEST(SchedulerInteractionTest, CleanRulesKeepRunningWhileOneIsBanned)

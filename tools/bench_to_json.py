@@ -6,9 +6,9 @@ summary section with before/after speedups. Four modes:
 
   --mode egraph (default, micro_egraph): benchmarks parameterized with
       a naive:{0,1} argument run the pre-index reference matcher
-      (naive:1, the "before") and the indexed + incremental matcher
-      (naive:0, the "after") on the same workload; the summary reports
-      the ratio. Writes BENCH_egraph.json.
+      (naive:1, the "before") and the indexed matcher (naive:0, the
+      "after") on the same workload; the summary reports the ratio.
+      Writes BENCH_egraph.json.
 
   --mode passes (micro_passes): benchmarks parameterized with
       cache:{0,1}/jobs:N arms; the cold serial arm (cache:0/jobs:1) is

@@ -59,10 +59,9 @@ usage()
         "  --no-rover         disable datapath rules (the paper's "
         "SEER (C))\n"
         "  --no-control       disable control rules (ROVER only)\n"
-        "  --greedy-datapath  greedy instead of exact Eqn-4 extraction\n"
         "  --extract MODE     extraction mode: 'exact' (default;\n"
         "                     branch-and-bound Eqn-4 datapath), 'greedy'\n"
-        "                     (same as --greedy-datapath), or 'naive'\n"
+        "                     (greedy instead of exact Eqn-4), or 'naive'\n"
         "                     (greedy with from-scratch bounds and no\n"
         "                     incremental cost analyses — the reference\n"
         "                     arm; extracted terms are bit-identical to\n"
@@ -179,8 +178,6 @@ parseArgs(int argc, char **argv, CliOptions &options)
             options.seer.use_rover = false;
         } else if (arg == "--no-control") {
             options.seer.use_control = false;
-        } else if (arg == "--greedy-datapath") {
-            options.seer.exact_datapath = false;
         } else if (arg == "--extract") {
             std::string mode = args.value();
             if (args.failed())
