@@ -1,9 +1,11 @@
 /** Interpreter tests: functional semantics, traps, and profiling. */
 #include <gtest/gtest.h>
 
+#include "ir/builder.h"
 #include "ir/interp.h"
 #include "ir/parser.h"
 #include "support/error.h"
+#include "support/fault_inject.h"
 
 namespace seer::ir {
 namespace {
@@ -389,6 +391,273 @@ TEST(InterpTest, TrapKindNamesAreStable)
                  "divide_by_zero");
     EXPECT_STREQ(trapKindName(TrapKind::BadCall), "bad_call");
     EXPECT_STREQ(trapKindName(TrapKind::Unsupported), "unsupported");
+}
+
+// --- The interpreter contract ------------------------------------------
+//
+// These pin what callers observe of an interpretation -- step counts,
+// which op a step limit names, when cancellation is polled, the exact
+// trap raised by each fault and the Profile -- so the interpreter's
+// internals can change without callers noticing.
+
+/** for + if + while + call; leaves s[0] == 5 after 45 steps. */
+const char *const kControlKernel = R"(
+func.func @inc(%x: i32) -> i32 {
+  %one = arith.constant 1 : i32
+  %r = arith.addi %x, %one : i32
+  func.return %r : i32
+}
+func.func @f(%s: memref<1xi32>) {
+  %z = arith.constant 0 : index
+  %limit = arith.constant 5 : i32
+  %two = arith.constant 2 : index
+  affine.for %i = 0 to 3 {
+    %v = memref.load %s[%z] : memref<1xi32>
+    %c = arith.cmpi ult, %i, %two : index
+    scf.if %c {
+      %n = func.call @inc(%v) : (i32) -> (i32)
+      memref.store %n, %s[%z] : memref<1xi32>
+    } else {
+    }
+  }
+  scf.while {
+    %w = memref.load %s[%z] : memref<1xi32>
+    %more = arith.cmpi slt, %w, %limit : i32
+    scf.condition %more
+  } do {
+    %w2 = memref.load %s[%z] : memref<1xi32>
+    %n2 = func.call @inc(%w2) : (i32) -> (i32)
+    memref.store %n2, %s[%z] : memref<1xi32>
+  }
+  func.return
+})";
+
+TEST(InterpContractTest, StepsCountEveryNonTerminatorOp)
+{
+    // 3 constants + the for + 3 x (load, cmpi, if) + 2 taken branches x
+    // (call + 2 callee ops + store) + the while + 4 conditions x
+    // (load, cmpi) + 3 bodies x (load, call + 2, store) = 45.
+    Module m = parseModule(kControlKernel);
+    Buffer s(Type::memref({1}, Type::i32()));
+    InterpResult r = interpret(m, "f", {&s});
+    EXPECT_EQ(r.steps, 45u);
+    EXPECT_EQ(s.ints[0], 5);
+}
+
+TEST(InterpContractTest, StepLimitNamesTheSameOp)
+{
+    Module m = parseModule(kControlKernel);
+    auto limitedAt = [&](uint64_t max_steps) -> std::string {
+        Buffer s(Type::memref({1}, Type::i32()));
+        InterpOptions options;
+        options.max_steps = max_steps;
+        try {
+            interpret(m, "f", {&s}, options);
+        } catch (const InterpError &err) {
+            EXPECT_EQ(err.kind(), TrapKind::StepLimit);
+            return err.what();
+        }
+        return "ran";
+    };
+    const std::string prefix = "interpret: step limit exceeded at op ";
+    EXPECT_EQ(limitedAt(0), prefix + "arith.constant");
+    EXPECT_EQ(limitedAt(3), prefix + "affine.for");
+    EXPECT_EQ(limitedAt(6), prefix + "scf.if");
+    EXPECT_EQ(limitedAt(7), prefix + "func.call");
+    EXPECT_EQ(limitedAt(9), prefix + "arith.addi");
+    EXPECT_EQ(limitedAt(11), prefix + "memref.load");
+    EXPECT_EQ(limitedAt(21), prefix + "scf.while");
+    EXPECT_EQ(limitedAt(44), prefix + "arith.cmpi");
+    EXPECT_EQ(limitedAt(45), "ran");
+}
+
+TEST(InterpContractTest, CancellationIsPolledEvery4096Steps)
+{
+    const std::string spin = R"(
+func.func @f() {
+  affine.for %i = 0 to 1000000 {
+    %x = arith.constant 1 : i32
+  }
+  func.return
+})";
+    InterpOptions options;
+    options.exec = seer::ExecContext::make();
+    options.exec.setDeadline(std::chrono::steady_clock::now());
+    // The first poll comes at step 4096: a budget that trips before it
+    // is a step limit, one that reaches it is cancellation.
+    options.max_steps = 4095;
+    EXPECT_EQ(trapKindOf(spin, {}, options), TrapKind::StepLimit);
+    options.max_steps = 4096;
+    EXPECT_EQ(trapKindOf(spin, {}, options), TrapKind::Deadline);
+    options.max_steps = 5000;
+    EXPECT_EQ(trapKindOf(spin, {}, options), TrapKind::Deadline);
+}
+
+/** `fault` inside an scf.if on %c; the placeholder addi after it lets
+ *  a test insert a hand-built op in front of it. */
+std::string
+faultKernel(const std::string &fault)
+{
+    return R"(
+func.func @g(%x: i32) -> i32 {
+  func.return %x : i32
+}
+func.func @f(%c: i1, %s: memref<1xi32>) {
+  %z = arith.constant 0 : index
+  %a = arith.constant 7 : i32
+  %b = arith.constant 2 : i32
+  %x = arith.sitofp %a : i32 to f64
+  scf.if %c {
+    )" + fault + R"(
+    %placeholder = arith.addi %a, %b : i32
+  } else {
+  }
+  memref.store %a, %s[%z] : memref<1xi32>
+  func.return
+})";
+}
+
+/** Run `m` with the branch flag `taken`; "ok", or the trap raised as
+ *  "<kind>: <message>" (InterpError) or "fatal: <message>". */
+std::string
+outcomeOf(const Module &m, bool taken)
+{
+    Buffer s(Type::memref({1}, Type::i32()));
+    try {
+        interpret(m, "f", {int64_t{taken}, &s});
+    } catch (const InterpError &err) {
+        return std::string(trapKindName(err.kind())) + ": " + err.what();
+    } catch (const FatalError &err) {
+        return std::string("fatal: ") + err.what();
+    }
+    return s.ints[0] == 7 ? "ok" : "ran wrong";
+}
+
+/** Insert a hand-built `name` op (operands %a, %b; result `results`)
+ *  before the kernel's placeholder. */
+Module
+withBuiltOp(std::string_view name, std::vector<Type> results)
+{
+    Module m = parseModule(faultKernel(""));
+    Operation *placeholder = nullptr;
+    walk(m, [&](Operation &op) {
+        if (op.nameStr() == "arith.addi")
+            placeholder = &op;
+    });
+    OpBuilder::before(placeholder)
+        .create(name, {placeholder->operand(0), placeholder->operand(1)},
+                std::move(results));
+    return m;
+}
+
+TEST(InterpContractTest, FaultsTrapOnlyWhenTheirOpRuns)
+{
+    struct Case
+    {
+        std::string fault;
+        std::string trap;
+    };
+    const std::vector<Case> cases = {
+        {"%r = func.call @missing(%a) : (i32) -> (i32)",
+         "bad_call: interpret: unknown callee missing"},
+        {"%r = func.call @g(%a, %b) : (i32, i32) -> (i32)",
+         "bad_call: interpret: function expects 1 args, got 2"},
+        {"%r = arith.cmpi bogus, %a, %b : i32",
+         "fatal: unknown cmp predicate 'bogus'"},
+        {"%r = arith.cmpf bogus, %x, %x : f64",
+         "unsupported: interpret: unknown cmpf predicate bogus"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.fault);
+        Module m = parseModule(faultKernel(c.fault));
+        EXPECT_EQ(outcomeOf(m, false), "ok");
+        EXPECT_EQ(outcomeOf(m, true), c.trap);
+    }
+
+    // A registered op the interpreter does not execute.
+    Module unimplemented = withBuiltOp("func.func", {Type::i32()});
+    EXPECT_EQ(outcomeOf(unimplemented, false), "ok");
+    EXPECT_EQ(outcomeOf(unimplemented, true),
+              "unsupported: interpret: unimplemented op func.func");
+
+    // An op name no dialect registers.
+    Module unknown = withBuiltOp("test.bogus", {});
+    EXPECT_EQ(outcomeOf(unknown, false), "ok");
+    EXPECT_EQ(outcomeOf(unknown, true),
+              "fatal: unknown operation 'test.bogus'");
+}
+
+TEST(InterpContractTest, ProfileCountsEveryLoopBlockAndOp)
+{
+    Module m = parseModule(kControlKernel);
+    Buffer s(Type::memref({1}, Type::i32()));
+    InterpOptions options;
+    options.profile = true;
+    InterpResult r = interpret(m, "f", {&s}, options);
+
+    // Hand counts, in walk order; terminators never count as ops.
+    const std::vector<uint64_t> op_counts = {
+        5, 5,          // @inc: constant, addi (five calls)
+        1, 1, 1,       // @f: three constants
+        1, 3, 3, 3,    // affine.for; load, cmpi, scf.if per iteration
+        2, 2,          // taken branch: call, store
+        1, 4, 4,       // scf.while; four conditions: load, cmpi
+        3, 3, 3,       // three bodies: load, call, store
+    };
+    std::map<const Operation *, uint64_t> ops;
+    std::map<const Block *, uint64_t> blocks;
+    std::map<const Operation *, std::pair<uint64_t, uint64_t>> loops;
+    size_t next = 0;
+    walk(m, [&](Operation &op) {
+        if (op.nameStr() == "func.func" || isTerminator(op))
+            return;
+        ASSERT_LT(next, op_counts.size());
+        ops[&op] = op_counts[next++];
+    });
+    EXPECT_EQ(next, op_counts.size());
+    EXPECT_EQ(r.profile.ops, ops);
+
+    Operation *inc = m.lookupFunc("inc");
+    Operation *f = m.lookupFunc("f");
+    blocks[&inc->region(0).block()] = 5;
+    blocks[&f->region(0).block()] = 1;
+    walk(m, [&](Operation &op) {
+        if (op.nameStr() == "affine.for") {
+            blocks[&op.region(0).block()] = 3;
+            loops[&op] = {1, 3};
+        } else if (op.nameStr() == "scf.if") {
+            blocks[&op.region(0).block()] = 2;
+            blocks[&op.region(1).block()] = 1;
+        } else if (op.nameStr() == "scf.while") {
+            blocks[&op.region(0).block()] = 4;
+            blocks[&op.region(1).block()] = 3;
+            loops[&op] = {1, 3};
+        }
+    });
+    EXPECT_EQ(r.profile.blocks, blocks);
+    EXPECT_EQ(r.profile.loops, loops);
+}
+
+TEST(InterpContractTest, AllocFaultFiresOnTheNthBuffer)
+{
+    struct Disarm
+    {
+        ~Disarm() { FaultInjector::instance().disarm(); }
+    } disarm;
+    Module m = parseModule(R"(
+func.func @f() {
+  affine.for %i = 0 to 5 {
+    %m = memref.alloc() : memref<4xi32>
+  }
+  func.return
+})");
+    FaultInjector::instance().arm(*FaultPlan::parse("fixed=interp-alloc@3"));
+    EXPECT_THROW(interpret(m, "f", {}), std::bad_alloc);
+    EXPECT_EQ(FaultInjector::instance().hits(FaultPoint::InterpAlloc), 3u);
+
+    FaultInjector::instance().arm(*FaultPlan::parse("fixed=interp-alloc@6"));
+    EXPECT_NO_THROW(interpret(m, "f", {}));
+    EXPECT_EQ(FaultInjector::instance().hits(FaultPoint::InterpAlloc), 5u);
 }
 
 } // namespace
