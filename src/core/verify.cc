@@ -200,14 +200,14 @@ causeNames(unsigned causes)
     return names;
 }
 
-/** Execute a lowered term on the given argument seed; a term that
+/** Execute a decoded term on the given argument seed; a term that
  *  could not be emitted traps. Each trap adds its cause to `causes`. */
 RunStatus
-runTerm(const std::optional<ir::Module> &module, const sl::EmitSpec &spec,
+runTerm(const std::optional<ir::Program> &program, const sl::EmitSpec &spec,
         uint64_t seed, const VerifyOptions &verify_options,
         std::vector<int64_t> &state, unsigned &causes)
 {
-    if (!module) {
+    if (!program) {
         causes |= causeBit(kUnemittable);
         return RunStatus::Trap;
     }
@@ -220,7 +220,7 @@ runTerm(const std::optional<ir::Module> &module, const sl::EmitSpec &spec,
         std::vector<ir::RtValue> args = buildArgs(spec, buffers, rng);
         ScopedInterpCharge charge(verify_options.exec,
                                   bufferBytes(buffers));
-        ir::interpret(*module, spec.func_name, std::move(args), options);
+        ir::interpret(*program, spec.func_name, std::move(args), options);
     } catch (const ir::InterpError &err) {
         // Cancellation is the *caller's* budget expiring, not evidence
         // about the program: never let it count as a trap verdict.
@@ -299,6 +299,12 @@ checkTerms(const TermPtr &lhs, const TermPtr &rhs,
         check.proved_identical = true;
         return check;
     }
+    // Each side is decoded once, too, for all its runs.
+    std::optional<ir::Program> lhs_program, rhs_program;
+    if (lhs_module)
+        lhs_program.emplace(*lhs_module);
+    if (rhs_module)
+        rhs_program.emplace(*rhs_module);
     int conclusive = 0;
     for (int run = 0; run < options.runs; ++run) {
         // Cooperative cancellation between runs (and, via
@@ -309,9 +315,9 @@ checkTerms(const TermPtr &lhs, const TermPtr &rhs,
         }
         uint64_t seed = options.seed + 7919 * run;
         std::vector<int64_t> lhs_state, rhs_state;
-        RunStatus ls = runTerm(lhs_module, *spec, seed, options,
+        RunStatus ls = runTerm(lhs_program, *spec, seed, options,
                                lhs_state, check.causes);
-        RunStatus rs = runTerm(rhs_module, *spec, seed, options,
+        RunStatus rs = runTerm(rhs_program, *spec, seed, options,
                                rhs_state, check.causes);
         if (ls == RunStatus::Canceled || rs == RunStatus::Canceled)
             break; // deadline expired mid-run: stop, stay inconclusive
@@ -361,6 +367,20 @@ lowerTerms(const TermPtr &lhs, const TermPtr &rhs, std::string *diagnostic)
         return std::nullopt;
     return LoweredTerms{lowerTerm(lhs_statement, *spec),
                         lowerTerm(rhs_statement, *spec)};
+}
+
+json::Value
+toJson(const VerifyReport &report)
+{
+    json::Value out{json::Object{}};
+    out.set("checks", report.total_checks);
+    out.set("proved_identical", report.proved_identical);
+    out.set("inconclusive", report.inconclusive);
+    json::Value causes{json::Object{}};
+    for (const auto &[cause, count] : report.inconclusive_causes)
+        causes.set(cause, count);
+    out.set("inconclusive_causes", std::move(causes));
+    return out;
 }
 
 VerifyReport
@@ -433,6 +453,8 @@ checkModuleEquivalence(const ir::Module &lhs, const ir::Module &rhs,
                                lhs_body.arg(i).type());
     }
 
+    // Decoded once; every run interprets the same programs.
+    ir::Program lhs_program(lhs), rhs_program(rhs);
     int conclusive = 0;
     for (int run = 0; run < options.runs; ++run) {
         // Same discipline as checkTermEquivalence: a canceled context
@@ -486,10 +508,10 @@ checkModuleEquivalence(const ir::Module &lhs, const ir::Module &rhs,
         // optimized module alone is a FAIL.
         bool input_ran = false;
         try {
-            ir::interpret(lhs, func_name, std::move(lhs_args),
+            ir::interpret(lhs_program, func_name, std::move(lhs_args),
                           interp_options);
             input_ran = true;
-            ir::interpret(rhs, func_name, std::move(rhs_args),
+            ir::interpret(rhs_program, func_name, std::move(rhs_args),
                           interp_options);
         } catch (const ir::InterpError &err) {
             if (err.isCancellation()) {

@@ -65,6 +65,13 @@ struct VerifyReport
     bool ok() const { return failures.empty(); }
 };
 
+/**
+ * The report's deterministic counters (`checks`, `proved_identical`,
+ * `inconclusive`, `inconclusive_causes`): the `verify` section of
+ * seer-opt's --stats.
+ */
+json::Value toJson(const VerifyReport &report);
+
 /** Check every recorded rewrite: the decomposed proof chain. */
 VerifyReport verifyRecords(const std::vector<eg::RewriteRecord> &records,
                            const VerifyOptions &options = {});

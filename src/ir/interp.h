@@ -8,6 +8,13 @@
  *    Synopsys VC Formal), and
  *  - the profiler that records loop trip counts and block execution counts
  *    consumed by the HLS performance model.
+ *
+ * A module is decoded once into a Program: per function, a flat array of
+ * instructions with an opcode, operand and result slots into a per-call
+ * frame, and every attribute (constants, predicates, widths, loop bounds,
+ * callees) resolved up front. interpret() runs a Program with a switch
+ * over opcodes; callers that run one module many times (the validation
+ * gate, equivalence checks) build the Program once and reuse it.
  */
 #ifndef SEER_IR_INTERP_H_
 #define SEER_IR_INTERP_H_
@@ -124,14 +131,44 @@ struct InterpOptions
     ExecContext exec;
 };
 
+namespace detail {
+struct Code;
+} // namespace detail
+
+/**
+ * A module decoded for interpretation. Decoding never traps: an op that
+ * would trap (unknown callee, bad predicate, unimplemented op) decodes to
+ * an instruction that raises the same error when, and only when, it
+ * runs. Holds pointers into the module, which must outlive the Program
+ * and stay unchanged. Immutable once built, so runs may share it.
+ */
+class Program
+{
+  public:
+    explicit Program(const Module &module);
+    ~Program();
+    Program(Program &&) noexcept;
+    Program &operator=(Program &&) noexcept;
+
+    const detail::Code &code() const { return *code_; }
+
+  private:
+    std::unique_ptr<detail::Code> code_;
+};
+
 /**
  * Interpret `func_name` in `module` with the given arguments. Buffer
  * arguments are mutated in place (caller observes final memory state).
  * Throws InterpError (a FatalError carrying a TrapKind) on traps:
  * out-of-bounds access, division by zero, step-limit exhaustion,
- * deadline cancellation.
+ * deadline cancellation. Decodes the module, then runs it.
  */
 InterpResult interpret(const Module &module, const std::string &func_name,
+                       std::vector<RtValue> args,
+                       const InterpOptions &options = {});
+
+/** Run an already decoded module; same contract as above. */
+InterpResult interpret(const Program &program, const std::string &func_name,
                        std::vector<RtValue> args,
                        const InterpOptions &options = {});
 

@@ -80,7 +80,10 @@ usage()
         "                     stats as JSON (FILE '-' = stderr); the\n"
         "                     external_eval section reports pass-cache\n"
         "                     hit rates, inconclusive gate verdicts\n"
-        "                     and per-stage timing\n"
+        "                     and per-stage timing; with --verify it\n"
+        "                     is written after verification and adds\n"
+        "                     a verify section (checks, inconclusive\n"
+        "                     counts and causes)\n"
         "  -j, --jobs N       worker threads for external-pass\n"
         "                     evaluation; results are bit-identical\n"
         "                     for every N (default 1)\n"
@@ -347,6 +350,21 @@ printRunSummary(const seer::core::SeerResult &result)
         << ev.gate_inconclusive << " gate-inconclusive)\n";
 }
 
+/** Write --stats JSON to `file` ("-" = stderr). */
+void
+writeStats(const std::string &file, const seer::json::Value &stats)
+{
+    std::string text = stats.dump(2) + "\n";
+    if (file == "-") {
+        std::cerr << text;
+        return;
+    }
+    std::ofstream out(file);
+    if (!out)
+        seer::fatal("cannot open " + file);
+    out << text;
+}
+
 /** The end-to-end equivalence line of --verify: PASS, FAIL <why>, or
  *  inconclusive when no workload ran to completion on the input. */
 void
@@ -399,6 +417,9 @@ main(int argc, char **argv)
         ir::Module output;
         core::SeerResult result;
         bool degraded = false;
+        // Written once --verify, if given, has added its section.
+        std::optional<json::Value> stats;
+        int verify_exit = 0;
         if (!options.fixed_passes.empty()) {
             // The phase-ordered baseline: a fixed pipeline.
             if (!options.stats_file.empty())
@@ -418,18 +439,8 @@ main(int argc, char **argv)
             output = ir::cloneModule(result.module);
             degraded = result.stats.degraded;
             printRunSummary(result);
-            if (!options.stats_file.empty()) {
-                std::string text = core::toJson(result.stats).dump(2);
-                text += "\n";
-                if (options.stats_file == "-") {
-                    std::cerr << text;
-                } else {
-                    std::ofstream stats_out(options.stats_file);
-                    if (!stats_out)
-                        fatal("cannot open " + options.stats_file);
-                    stats_out << text;
-                }
-            }
+            if (!options.stats_file.empty())
+                stats = core::toJson(result.stats);
         }
 
         if (!options.quiet)
@@ -446,6 +457,8 @@ main(int argc, char **argv)
             } else {
                 core::VerifyReport report =
                     core::verifyRecords(result.stats.records);
+                if (stats)
+                    stats->set("verify", core::toJson(report));
                 std::cerr << "; translation validation: "
                           << report.passed << "/"
                           << report.total_checks << " passed ("
@@ -463,9 +476,13 @@ main(int argc, char **argv)
                 for (const std::string &failure : report.failures)
                     std::cerr << ";   " << failure << "\n";
                 if (!ok || !report.ok())
-                    return 1;
+                    verify_exit = 1;
             }
         }
+        if (stats)
+            writeStats(options.stats_file, *stats);
+        if (verify_exit)
+            return verify_exit;
 
         if (options.report) {
             hls::HlsReport before =
