@@ -1,22 +1,8 @@
 #include "core/cost.h"
 
-#include <set>
-
 #include "seerlang/encoding.h"
 
 namespace seer::core {
-
-std::vector<std::string>
-LoopRegistry::touchedSince(uint64_t since) const
-{
-    std::vector<std::string> out;
-    std::set<std::string> seen;
-    for (size_t i = since; i < touches_.size(); ++i) {
-        if (seen.insert(touches_[i]).second)
-            out.push_back(touches_[i]);
-    }
-    return out;
-}
 
 double
 loopLatency(const LoopRegistryEntry &entry)
@@ -60,14 +46,6 @@ LatencyCost::nodeCost(const eg::ENode &node) const
     if (name == "scf.if")
         return 2;
     return 0; // Eqn 2: everything else is free in phase 1
-}
-
-std::optional<std::string_view>
-LatencyCost::dependencyKey(const eg::ENode &node) const
-{
-    if (sl::opNameOf(node.op) == "affine.for")
-        return sl::loopIdOf(node.op);
-    return std::nullopt;
 }
 
 namespace {

@@ -13,8 +13,6 @@
 
 #include <map>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "egraph/extract.h"
 #include "hls/schedule.h"
@@ -31,52 +29,11 @@ struct LoopRegistryEntry
 
 /**
  * Loop id -> constraints, seeded from the initial HLS schedule and
- * extended by the approximation laws as rewrites create new loops.
- *
- * Mutable access goes through operator[], which records the key in a
- * touch log: a registered latency cost-bound analysis resyncs from the
- * log (LatencyCost::touchedSince) and invalidates only the classes whose
- * loops actually changed, instead of recomputing every bound.
+ * extended by the approximation laws as rewrites create new loops. It
+ * stops changing when saturation ends, so extraction reads LatencyCost
+ * over a frozen registry and a frozen graph.
  */
-class LoopRegistry
-{
-  public:
-    using Map = std::map<std::string, LoopRegistryEntry, std::less<>>;
-    using const_iterator = Map::const_iterator;
-
-    /** Mutable (inserting) access; records the key in the touch log. */
-    LoopRegistryEntry &
-    operator[](const std::string &id)
-    {
-        touches_.push_back(id);
-        return map_[id];
-    }
-
-    const LoopRegistryEntry &
-    at(const std::string &id) const
-    {
-        return map_.at(id);
-    }
-    const_iterator find(std::string_view id) const
-    {
-        return map_.find(id);
-    }
-    size_t count(const std::string &id) const { return map_.count(id); }
-    const_iterator begin() const { return map_.begin(); }
-    const_iterator end() const { return map_.end(); }
-    size_t size() const { return map_.size(); }
-    bool empty() const { return map_.empty(); }
-
-    /** Monotone revision counter: one tick per mutable access. */
-    uint64_t revision() const { return touches_.size(); }
-
-    /** Keys mutably accessed after revision `since`, deduplicated. */
-    std::vector<std::string> touchedSince(uint64_t since) const;
-
-  private:
-    Map map_;
-    std::vector<std::string> touches_;
-};
+using LoopRegistry = std::map<std::string, LoopRegistryEntry, std::less<>>;
 
 /** The control-path latency cost (Eqn 2/3). */
 class LatencyCost : public eg::CostModel
@@ -89,14 +46,6 @@ class LatencyCost : public eg::CostModel
     double nodeCost(const eg::ENode &node) const override;
 
     std::string name() const override { return "latency"; }
-    uint64_t revision() const override { return registry_.revision(); }
-    std::vector<std::string> touchedSince(uint64_t since) const override
-    {
-        return registry_.touchedSince(since);
-    }
-    /** affine.for nodes read their loop's registry entry. */
-    std::optional<std::string_view>
-    dependencyKey(const eg::ENode &node) const override;
 
     /** Trip-count estimate used when N is not statically known. */
     static constexpr int64_t kUnknownTripInt = 16;

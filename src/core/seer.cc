@@ -289,9 +289,10 @@ class SaturatePhase
  * ExtractPhase: two-phase extraction (Section 4.6). Phase 1 pins the
  * control skeleton under the latency cost (Eqn 3); phase 2 keeps that
  * skeleton and re-extracts every pure sub-expression under the ROVER
- * area cost (Eqn 4). Degrades to the original term when extraction
- * crashes, finds nothing, or a cost bound registered for it fails its
- * coherence check.
+ * area cost (Eqn 4). Both phases read the frozen graph and a frozen
+ * loop registry, so a model saturation did not register gets its cost
+ * bounds computed from scratch per call. Degrades to the original term
+ * when extraction crashes or finds nothing.
  */
 class ExtractPhase
 {
@@ -305,7 +306,7 @@ class ExtractPhase
     /** Returns the term to emit (extracted, or the original on
      *  degrade). Throws only in strict mode. */
     TermPtr
-    run(EGraph &egraph, EClassId root, const LatencyCost &latency,
+    run(const EGraph &egraph, EClassId root, const LatencyCost &latency,
         const rover::RoverAreaCost &area_cost, const TermPtr &original)
     {
         // Extraction under governance: a canceled context skips the
@@ -344,7 +345,8 @@ class ExtractPhase
     /** Both phases, reporting into stats.extraction. Null when the
      *  latency phase finds no finite-cost implementation. */
     TermPtr
-    extract(EGraph &egraph, EClassId root, const LatencyCost &latency,
+    extract(const EGraph &egraph, EClassId root,
+            const LatencyCost &latency,
             const rover::RoverAreaCost &area_cost)
     {
         std::vector<ExtractionPhaseStats> &phases = result_.stats.extraction;
@@ -359,8 +361,6 @@ class ExtractPhase
                                                        : "greedy";
 
         auto t0 = Clock::now();
-        if (!options_.naive_extract)
-            registerExtractionBounds(egraph, {&latency, &area_cost});
         eg::ExtractStats stats;
         control.ran = true;
         control.extractions = 1;
@@ -382,31 +382,6 @@ class ExtractPhase
             refine(egraph, extraction->term, area_cost, stats, datapath);
         foldStats(datapath, stats, t0);
         return term;
-    }
-
-    /**
-     * Register the cost bounds only extraction reads (saturation never
-     * pays for their upkeep) and check each new one against its
-     * from-scratch recomputation: the coherence check the phase-end
-     * gate runs on the bounds maintained through saturation, here run
-     * once. A model registered up front keeps its registration.
-     */
-    static void
-    registerExtractionBounds(EGraph &egraph,
-                             std::initializer_list<const eg::CostModel *>
-                                 models)
-    {
-        for (const eg::CostModel *model : models) {
-            if (egraph.findAnalysis("cost-bound:" + model->name()))
-                continue;
-            std::string diag =
-                eg::registerCostBound(egraph, *model).checkInvariants(
-                    egraph);
-            if (!diag.empty())
-                fatal("cost bound registered at extraction is "
-                      "incoherent: " +
-                      diag);
-        }
     }
 
     eg::ExtractOptions
@@ -458,7 +433,6 @@ class ExtractPhase
         stats.classes_recomputed += one.classes_recomputed;
         stats.bound_prunes += one.bound_prunes;
         stats.expansions += one.expansions;
-        stats.used_analysis = stats.used_analysis || one.used_analysis;
         if (one.budget_exhausted)
             ++phase.budget_exhaustions;
         if (!extraction)
@@ -476,7 +450,6 @@ class ExtractPhase
         phase.classes_recomputed = stats.classes_recomputed;
         phase.bound_prunes = stats.bound_prunes;
         phase.expansions = stats.expansions;
-        phase.used_analysis = stats.used_analysis;
         phase.seconds =
             std::chrono::duration<double>(Clock::now() - t0).count();
     }
@@ -653,9 +626,8 @@ class OptimizeDriver
     bool
     seedGraph()
     {
-        // Phase cost models. Declared before the e-graph (they must
-        // outlive it: registered cost-bound analyses hold references).
-        latency_.emplace(context_->registry);
+        // Registered cost-bound analyses hold references to their
+        // models, which must outlive the e-graph.
         static const eg::TermSizeCost term_size;
 
         egraph_.emplace(rover::roverAnalysisHooks());
@@ -666,9 +638,10 @@ class OptimizeDriver
             // local extraction inside external rules (analysis-friendly,
             // or the area model when that is off) and the runner's
             // record extraction (term-size). Every checkpoint drains
-            // them and every phase-end check recomputes them, so the
+            // them and every phase-end check recomputes them. The
             // models only extraction reads (latency, and area by
-            // default) are registered when extraction starts.
+            // default) are never registered: extraction computes their
+            // bounds from scratch on the frozen graph.
             eg::registerCostBound(*egraph_, context_->localCost());
             eg::registerCostBound(*egraph_, term_size);
         }
@@ -750,7 +723,7 @@ class OptimizeDriver
     {
         ExtractPhase extract(options_, exec_, result_);
         TermPtr final_term =
-            extract.run(*egraph_, root_, *latency_,
+            extract.run(*egraph_, root_, LatencyCost(context_->registry),
                         context_->area_cost, translation_.term);
         result_.extracted_term = final_term;
 
@@ -892,7 +865,6 @@ class OptimizeDriver
     EvalCachePtr eval_cache_;
     ExternalEvalStats eval_stats_base_;
     std::optional<sl::NameScope> run_scope_;
-    std::optional<LatencyCost> latency_;
     std::optional<EGraph> egraph_;
     EClassId root_{};
     eg::RunnerOptions runner_options_;
@@ -950,7 +922,6 @@ toJson(const SeerStats &stats)
         p.set("bound_prunes", phase.bound_prunes);
         p.set("expansions", phase.expansions);
         p.set("budget_exhaustions", phase.budget_exhaustions);
-        p.set("used_analysis", phase.used_analysis);
         p.set("seconds", phase.seconds);
         p.set("tree_cost", phase.tree_cost);
         p.set("dag_cost", phase.dag_cost);

@@ -155,10 +155,11 @@ struct SeerOptions
         // silently discarded, so the graph genuinely reaches these caps.
         runner.max_iters = 4;
         // Two orders of magnitude over the historical 16k cap: the flat
-        // SoA storage (egraph/storage.h) holds million-node graphs, so
-        // exploration depth is now bounded by time, not by node count.
+        // SoA storage (egraph/storage.h) holds million-node graphs.
+        // The wall-clock limit stays unlimited, so exploration depth is
+        // bounded by these budgets and the output does not depend on
+        // machine speed.
         runner.max_nodes = 1600000;
-        runner.time_limit_seconds = 10;
         runner.match_limit = 1000;
     }
 };
@@ -176,14 +177,16 @@ struct ExtractionPhaseStats
      *  sub-expression for the refinement phase). */
     size_t extractions = 0;
     size_t classes_visited = 0;
+    /** Class recomputations of the bound fixpoint, summed over the
+     *  phase's calls: each call's from-scratch cone, or the pending
+     *  drain of a bound saturation maintains (rover-area when
+     *  analysis_friendly_extraction is off). */
     size_t classes_recomputed = 0;
     size_t bound_prunes = 0;
     size_t expansions = 0;
     /** Exact searches that ran out of budget (result then best-effort,
      *  not proven optimal). */
     size_t budget_exhaustions = 0;
-    /** Bounds came from a registered cost-bound analysis. */
-    bool used_analysis = false;
     double seconds = 0;
     /** Costs of this phase's result under its own model (root phase:
      *  the extraction's costs; refinement: summed over refined

@@ -65,9 +65,10 @@ evalNode(double self, const ENode &node, Lookup &&child_value)
  * From-scratch greatest-fixpoint computation of the per-class (min tree
  * cost, min size) values, restricted to the classes reachable from
  * `roots`. Chaotic iteration on a worklist seeded in ascending class-id
- * order, rippling through a child -> users adjacency. This is the
- * reference ("naive") path; the registered CostBoundAnalysis maintains
- * the same fixpoint incrementally.
+ * order, rippling through a child -> users adjacency. This is the path
+ * for models with no registered analysis — the extraction phases on the
+ * frozen graph — and the reference ("naive") path; a registered
+ * CostBoundAnalysis maintains the same fixpoint incrementally.
  */
 std::unordered_map<EClassId, CostBoundAnalysis::Value>
 scratchBounds(const EGraph &egraph, const CostModel &cost,
@@ -802,15 +803,6 @@ CostBoundAnalysis::recomputeClass(const EGraph &egraph, EClassId id) const
     Value best;
     const EClass &cls = egraph.eclass(id);
     for (const ENode &node : cls.nodes) {
-        if (auto key = model_.dependencyKey(node)) {
-            auto it = deps_.find(*key);
-            if (it == deps_.end())
-                it = deps_.try_emplace(std::string(*key)).first;
-            std::vector<EClassId> &dependents = it->second;
-            if (std::find(dependents.begin(), dependents.end(), id) ==
-                dependents.end())
-                dependents.push_back(id);
-        }
         double self = model_.nodeCostInClass(egraph, node);
         Value v = evalNode(self, node, [&](EClassId child) {
             EClassId c = egraph.find(child);
@@ -830,53 +822,8 @@ CostBoundAnalysis::recomputeClass(const EGraph &egraph, EClassId id) const
 }
 
 void
-CostBoundAnalysis::syncModel(const EGraph &egraph) const
-{
-    uint64_t revision = model_.revision();
-    if (revision == model_revision_)
-        return;
-    std::vector<std::string> touched =
-        model_.touchedSince(model_revision_);
-    model_revision_ = revision;
-    if (touched.empty())
-        return;
-    // Invalidate the parent cone of every class whose nodes read a
-    // touched key: set to infeasible (journaled — these are raises, the
-    // one move the monotone drain cannot make) and re-drain. Classes
-    // outside the cones read none of the touched inputs and keep their
-    // exact fixpoint values.
-    std::vector<EClassId> stack;
-    for (const std::string &key : touched) {
-        auto it = deps_.find(key);
-        if (it == deps_.end())
-            continue;
-        for (EClassId id : it->second) {
-            if (id < egraph.numIds())
-                stack.push_back(egraph.find(id));
-        }
-    }
-    std::vector<uint8_t> visited(egraph.numIds(), 0);
-    while (!stack.empty()) {
-        EClassId id = stack.back();
-        stack.pop_back();
-        if (visited[id])
-            continue;
-        visited[id] = 1;
-        ensure(id);
-        if (!(values_[id] == Value{})) {
-            egraph.journalAnalysisDatum(*this, id);
-            values_[id] = Value{};
-        }
-        push(id);
-        for (const auto &[node, parent] : egraph.eclass(id).parents)
-            stack.push_back(egraph.find(parent));
-    }
-}
-
-void
 CostBoundAnalysis::ensureCurrent(const EGraph &egraph) const
 {
-    syncModel(egraph);
     while (!pending_.empty()) {
         EClassId raw = pending_.back();
         pending_.pop_back();
@@ -954,12 +901,6 @@ CostBoundAnalysis::onRollback(EGraph &egraph, size_t live_ids)
     // recomputes (which may reference dead ids) are moot.
     std::fill(queued_.begin(), queued_.end(), 0);
     pending_.clear();
-    // External model inputs (e.g. the loop registry) do NOT roll back
-    // with the e-graph: force a full resync so restored values are
-    // re-based onto the current inputs. Dependency entries for dead ids
-    // are filtered (or conservatively re-point to recycled ids, which
-    // only costs a spurious recompute).
-    model_revision_ = 0;
 }
 
 void
@@ -1067,12 +1008,10 @@ GreedyMemo::extract(const EGraph &egraph, EClassId root,
     }
     State &state = *it;
     if (state.egraph != &egraph || state.tick != egraph.tick() ||
-        state.generation != egraph.rollbackGeneration() ||
-        state.revision != cost.revision()) {
+        state.generation != egraph.rollbackGeneration()) {
         state.egraph = &egraph;
         state.tick = egraph.tick();
         state.generation = egraph.rollbackGeneration();
-        state.revision = cost.revision();
         state.choice.clear();
         state.terms.clear();
     }

@@ -16,10 +16,13 @@
  * Both extractors read per-class (min tree cost, min term size) bounds.
  * When the cost model is *named* and a matching cost-bound analysis is
  * registered on the e-graph (registerCostBound), the bounds are
- * maintained incrementally through unions and rebuilds — repeated
- * extraction across runner iterations is amortized O(changed classes)
- * instead of a fresh fixpoint per call. Otherwise (or under
- * ExtractOptions::naive) they are recomputed from scratch. The two paths
+ * maintained incrementally through unions, rebuilds and rollbacks —
+ * the local extraction saturation repeats across runner iterations is
+ * amortized O(changed classes) instead of a fresh fixpoint per call.
+ * Otherwise (or under ExtractOptions::naive) they are computed from
+ * scratch over the root's cone. That is the path the final latency and
+ * area phases take: they read a graph that no longer changes, as egg's
+ * Extractor does, so there is nothing to keep current. The two paths
  * compute the identical greatest fixpoint with identical floating-point
  * operation order, so extraction results are bit-identical — the
  * differential guarantee egraph_extract_test enforces.
@@ -32,9 +35,7 @@
 #ifndef SEER_EGRAPH_EXTRACT_H_
 #define SEER_EGRAPH_EXTRACT_H_
 
-#include <functional>
 #include <limits>
-#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -74,30 +75,6 @@ class CostModel
      */
     virtual std::string name() const { return ""; }
 
-    /**
-     * Revision counter of the model's external inputs (e.g. the loop
-     * registry's touch log). A registered cost-bound analysis resyncs
-     * when this advances, invalidating only the dependent classes.
-     */
-    virtual uint64_t revision() const { return 0; }
-
-    /** External-input keys touched since revision `since`. */
-    virtual std::vector<std::string> touchedSince(uint64_t since) const
-    {
-        (void)since;
-        return {};
-    }
-
-    /** The external-input key `node`'s self-cost reads, when any (e.g.
-     *  the loop id of an affine.for node). The view must outlive the
-     *  model; a view into an interned symbol's text always does. */
-    virtual std::optional<std::string_view>
-    dependencyKey(const ENode &node) const
-    {
-        (void)node;
-        return std::nullopt;
-    }
-
     /** Cost used to forbid a node entirely. */
     static constexpr double kInfinity =
         std::numeric_limits<double>::infinity();
@@ -117,11 +94,16 @@ class TermSizeCost : public CostModel
  * model, maintained incrementally as the greatest fixpoint of the
  * class-cost equations. Values only tighten while the graph grows;
  * merges seed the winner with the lexicographic min of both halves and
- * re-drain; external model-input updates (CostModel::revision) and
- * checkpoint rollbacks raise values through targeted invalidation and
- * the journal respectively. Quiescence at the greatest fixpoint — which
- * the from-scratch path computes too, with the same FP operation order —
- * is what makes incremental and naive extraction bit-identical.
+ * re-drain; checkpoint rollbacks raise values through the journal.
+ * Quiescence at the greatest fixpoint — which the from-scratch path
+ * computes too, with the same FP operation order — is what makes
+ * incremental and naive extraction bit-identical.
+ *
+ * Only graph changes are tracked: the model's self costs must be a
+ * fixed function of the node and the graph for as long as the analysis
+ * is registered. Register one only for a model read while the graph
+ * changes (saturation's local extraction and term size); a model read
+ * once the graph is frozen takes the from-scratch path.
  *
  * The bound is admissible for branch-and-bound: cost is the exact min
  * *tree* cost of the class, a lower bound on any DAG realization's
@@ -150,10 +132,10 @@ class CostBoundAnalysis final : public Analysis
     const CostModel &model() const { return model_; }
 
     /**
-     * Resync external model inputs and drain pending recomputes; after
-     * this, value() holds the exact greatest fixpoint for the current
-     * graph + model state. Logically const (cache maintenance); any
-     * datum overwrite is journaled, so it is safe inside checkpoints.
+     * Drain pending recomputes; after this, value() holds the exact
+     * greatest fixpoint for the current graph. Logically const (cache
+     * maintenance); any datum overwrite is journaled, so it is safe
+     * inside checkpoints.
      */
     void ensureCurrent(const EGraph &egraph) const;
 
@@ -191,7 +173,6 @@ class CostBoundAnalysis final : public Analysis
     }
     void push(EClassId id) const;
     void recomputeClass(const EGraph &egraph, EClassId id) const;
-    void syncModel(const EGraph &egraph) const;
 
     const CostModel &model_;
     // All state is mutable: the analysis is a lazily-maintained cache
@@ -199,21 +180,6 @@ class CostBoundAnalysis final : public Analysis
     mutable std::vector<Value> values_;
     mutable std::vector<uint8_t> queued_; ///< dense pending flags
     mutable std::vector<EClassId> pending_;
-    /** External-input key -> classes whose nodes read it (appended at
-     *  recompute; stale/duplicate entries are tolerated). */
-    struct KeyHash
-    {
-        using is_transparent = void;
-        size_t
-        operator()(std::string_view key) const
-        {
-            return std::hash<std::string_view>()(key);
-        }
-    };
-    mutable std::unordered_map<std::string, std::vector<EClassId>, KeyHash,
-                               std::equal_to<>>
-        deps_;
-    mutable uint64_t model_revision_ = 0;
     mutable uint64_t recomputes_ = 0;
 };
 
@@ -260,10 +226,13 @@ struct ExtractStats
 struct ExtractOptions
 {
     /**
-     * Reference path: recompute bounds from scratch and (for the exact
-     * extractor) use the weak pending-classes-only bound, ignoring any
-     * registered analysis. Mirrors RunnerOptions::naive_match — the
-     * differential-testing arm.
+     * Reference path: compute bounds from scratch even when an analysis
+     * is registered, and (for the exact extractor) use the weak
+     * pending-classes-only bound. Mirrors RunnerOptions::naive_match —
+     * the differential-testing arm. Models without a registered
+     * analysis (the latency and area phases) read from-scratch bounds
+     * either way, so for greedy extraction it differs from the default
+     * only under the models saturation registers.
      */
     bool naive = false;
     /** Exact extractor search budget (expansions). */
@@ -295,14 +264,15 @@ std::optional<Extraction> extractGreedy(const EGraph &egraph,
 /**
  * Greedy extraction memoized across calls: one choice and term memo per
  * (cost model, e-graph state). The state is the graph's mutation clock
- * (EGraph::tick), its rollback generation and the model's revision().
- * Every change that can move a greedy choice advances one of the three —
- * an add, a merge, a rebuild that repairs merges, a rollback, a touch of
- * the model's external inputs — and the next call then starts a fresh
- * memo for that model. Within one state each class's greedy term is a
- * pure function of the graph and the model, so a memoized term, and
- * every subterm it shares with earlier answers, prints exactly what a
- * fresh extractGreedy builds.
+ * (EGraph::tick) and its rollback generation. Every change that can
+ * move a greedy choice advances one of the two — an add, a merge, a
+ * rebuild that repairs merges, a rollback — and the next call then
+ * starts a fresh memo for that model. The model's self costs must be a
+ * fixed function of the node and the graph, as for a registered cost
+ * bound; the local-extraction models are. Within one state each
+ * class's greedy term is a pure function of the graph and the model, so
+ * a memoized term, and every subterm it shares with earlier answers,
+ * prints exactly what a fresh extractGreedy builds.
  *
  * Terms are also hash-consed: every term the memo builds goes through
  * intern(), a table keyed by (op, child term pointers) that outlives
@@ -344,7 +314,6 @@ class GreedyMemo
         const EGraph *egraph = nullptr;
         uint64_t tick = 0;
         uint64_t generation = 0;
-        uint64_t revision = 0;
         std::unordered_map<EClassId, int> choice;
         /** Greedy term per canonical class; nullptr marks a root with
          *  no finite-cost derivation. */

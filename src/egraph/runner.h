@@ -32,6 +32,7 @@
 #define SEER_EGRAPH_RUNNER_H_
 
 #include <chrono>
+#include <limits>
 #include <optional>
 
 #include "egraph/rewrite.h"
@@ -126,7 +127,11 @@ struct RunnerOptions
      *  graphs comfortably, so the default budget no longer caps
      *  exploration at toy sizes. */
     size_t max_nodes = 10000000;
-    double time_limit_seconds = 20.0;
+    /** Wall-clock limit per run. Unlimited by default: a run cut by the
+     *  clock stops wherever the clock caught it, so its result would
+     *  depend on machine speed. The deterministic budgets above bound
+     *  exploration instead. */
+    double time_limit_seconds = std::numeric_limits<double>::infinity();
     /** Per-rule per-iteration match budget before backoff banning; the
      *  effective budget is match_limit << times_banned (egg). */
     size_t match_limit = 1000;

@@ -2,14 +2,13 @@
  * Differential tests for incremental analysis-driven extraction: with a
  * registered cost-bound analysis, extractGreedy/extractExact must produce
  * results bit-identical (same term, same tree/dag cost doubles) to the
- * from-scratch reference path (ExtractOptions::naive) — on randomized
- * e-graphs, across random add/merge/rebuild schedules, checkpoint
- * rollbacks, runner iterations with quarantined rules, and external
- * model-input (registry) updates.
+ * from-scratch path (ExtractOptions::naive, or a model with no
+ * registered analysis) — on randomized e-graphs, across random
+ * add/merge/rebuild schedules, checkpoint rollbacks and runner
+ * iterations with quarantined rules.
  */
 #include <gtest/gtest.h>
 
-#include <map>
 #include <random>
 
 #include "core/cost.h"
@@ -48,64 +47,6 @@ class ToyCost : public CostModel
         return 0;
     }
     std::string name() const override { return "toy"; }
-};
-
-/** Cost model with mutable external inputs (a registry stand-in): leaf
- *  costs live in a keyed table with a touch log, like LoopRegistry. */
-class TableCost : public CostModel
-{
-  public:
-    TableCost()
-    {
-        table_ = {{"a", 1.0}, {"b", 2.0}, {"c", 0.5}, {"d", 3.0}};
-    }
-
-    double
-    nodeCost(const ENode &node) const override
-    {
-        const std::string &op = node.op.str();
-        auto it = table_.find(op);
-        if (it != table_.end())
-            return it->second;
-        if (op == "f")
-            return 2.25;
-        if (op == "g")
-            return 1.5;
-        if (op == "k")
-            return 0.75;
-        return 0;
-    }
-    std::string name() const override { return "toy-table"; }
-    uint64_t revision() const override { return touches_.size(); }
-    std::vector<std::string>
-    touchedSince(uint64_t since) const override
-    {
-        std::vector<std::string> out;
-        for (size_t i = since; i < touches_.size(); ++i) {
-            if (std::find(out.begin(), out.end(), touches_[i]) ==
-                out.end())
-                out.push_back(touches_[i]);
-        }
-        return out;
-    }
-    std::optional<std::string_view>
-    dependencyKey(const ENode &node) const override
-    {
-        if (table_.count(node.op.str()))
-            return node.op.str();
-        return std::nullopt;
-    }
-
-    void
-    set(const std::string &op, double cost)
-    {
-        table_[op] = cost;
-        touches_.push_back(op);
-    }
-
-  private:
-    std::map<std::string, double> table_;
-    std::vector<std::string> touches_;
 };
 
 const ToyCost kToy;
@@ -272,25 +213,27 @@ TEST(ExtractDifferentialTest, RunnerQuarantineAndRollbackKeepBitIdentity)
     ASSERT_EQ(eg.debugCheckInvariants(), "");
 }
 
-/** ToyCost under another name, so a second analysis over the same
- *  costs can be registered late next to one maintained from the start. */
-class LateToyCost : public ToyCost
+/** ToyCost under another name, never registered: extraction through
+ *  it takes the from-scratch path, as the latency and area phases do on
+ *  the frozen graph. */
+class FrozenToyCost : public ToyCost
 {
   public:
-    std::string name() const override { return "toy-late"; }
+    std::string name() const override { return "toy-frozen"; }
 };
 
-/** A cost bound registered after saturation, merges into cycles and a
- *  rolled-back phase (how optimize() registers the latency and area
- *  bounds at extraction) equals the from-scratch bounds bitwise, and
- *  equals a bound maintained through that whole history. */
-TEST(CostBoundAnalysisTest, LateRegistrationMatchesScratchAndMaintained)
+/** The oracle for extraction on a frozen graph. After saturation,
+ *  merges into cycles and a rolled-back phase, extraction through an
+ *  unregistered model with the same costs returns, for every class,
+ *  the term and tree cost of the bound maintained through that whole
+ *  history, registers nothing and leaves the graph unchanged. */
+TEST(CostBoundAnalysisTest, FrozenGraphScratchMatchesMaintained)
 {
-    static const LateToyCost kLate;
+    static const FrozenToyCost kFrozen;
     for (uint32_t seed = 1; seed <= 40; ++seed) {
         std::mt19937 rng(seed);
         EGraph eg;
-        CostBoundAnalysis &early = registerCostBound(eg, kToy);
+        CostBoundAnalysis &maintained = registerCostBound(eg, kToy);
         std::vector<EClassId> ids = seedLeaves(eg);
         mutate(eg, ids, rng, 40);
         // Cycles: a class merged with its own parents' classes.
@@ -309,17 +252,36 @@ TEST(CostBoundAnalysisTest, LateRegistrationMatchesScratchAndMaintained)
         eg.rollback(phase);
         ids.resize(mark);
 
-        ASSERT_EQ(eg.findAnalysis("cost-bound:toy-late"), nullptr);
-        CostBoundAnalysis &late = registerCostBound(eg, kLate);
-        ASSERT_EQ(late.checkInvariants(eg), "") << "seed " << seed;
-        early.ensureCurrent(eg);
+        maintained.ensureCurrent(eg);
+        uint64_t tick = eg.tick();
         for (EClassId id : eg.classIds()) {
-            EXPECT_EQ(late.value(id).cost, early.value(id).cost)
+            ExtractStats frozen_stats, maintained_stats;
+            ExtractOptions frozen_options, maintained_options;
+            frozen_options.stats = &frozen_stats;
+            maintained_options.stats = &maintained_stats;
+            auto frozen = extractGreedy(eg, id, kFrozen, frozen_options);
+            auto kept = extractGreedy(eg, id, kToy, maintained_options);
+            EXPECT_FALSE(frozen_stats.used_analysis);
+            EXPECT_GT(frozen_stats.classes_recomputed, 0u);
+            EXPECT_TRUE(maintained_stats.used_analysis);
+            ASSERT_EQ(frozen.has_value(), kept.has_value())
                 << "seed " << seed << " class " << id;
-            EXPECT_EQ(late.value(id).size, early.value(id).size)
+            ASSERT_EQ(frozen.has_value(),
+                      maintained.value(id).cost != CostModel::kInfinity)
+                << "seed " << seed << " class " << id;
+            if (!frozen)
+                continue;
+            EXPECT_EQ(frozen->tree_cost, maintained.value(id).cost)
+                << "seed " << seed << " class " << id;
+            EXPECT_EQ(frozen->tree_cost, kept->tree_cost)
+                << "seed " << seed << " class " << id;
+            EXPECT_EQ(frozen->term->str(), kept->term->str())
+                << "seed " << seed << " class " << id;
+            EXPECT_EQ(frozen->dag_cost, kept->dag_cost)
                 << "seed " << seed << " class " << id;
         }
-        expectSameExtraction(eg, ids[rng() % ids.size()], kLate, "late");
+        EXPECT_EQ(eg.findAnalysis("cost-bound:toy-frozen"), nullptr);
+        EXPECT_EQ(eg.tick(), tick) << "seed " << seed;
         ASSERT_EQ(eg.debugCheckInvariants(), "") << "seed " << seed;
     }
 }
@@ -769,11 +731,11 @@ TEST(ExtractDifferentialTest, ExactSearchReplaysAtEveryBudget)
 }
 
 /** The local-extraction memo against fresh extraction. Random adds,
- *  merges, rebuilds, nested checkpoints resolved by rollback or commit,
- *  and loop-registry touches interleave with bursts of memoized
- *  extractions under three models: registry-backed latency and term
- *  size, both served by a registered bound analysis, and the toy model
- *  on from-scratch bounds. Every memoized term prints what a fresh
+ *  merges, rebuilds and nested checkpoints resolved by rollback or
+ *  commit interleave with bursts of memoized extractions under three
+ *  models: latency over a fixed loop registry and term size, both
+ *  served by a registered bound analysis, and the toy model on
+ *  from-scratch bounds. Every memoized term prints what a fresh
  *  extractGreedy builds on the same graph, and asking again before the
  *  graph changes returns the very same term. */
 TEST(GreedyMemoTest, MemoizedTermsMatchFreshExtraction)
@@ -788,6 +750,9 @@ TEST(GreedyMemoTest, MemoizedTermsMatchFreshExtraction)
     for (uint32_t seed = 1; seed <= 30; ++seed) {
         std::mt19937 rng(seed);
         core::LoopRegistry registry;
+        for (int loop = 0; loop < 3; ++loop)
+            registry["L" + std::to_string(loop)].constraints.latency =
+                1 + rng() % 9;
         core::LatencyCost latency(registry);
         EGraph eg;
         registerCostBound(eg, latency);
@@ -817,7 +782,7 @@ TEST(GreedyMemoTest, MemoizedTermsMatchFreshExtraction)
         /** Open checkpoints with the id count at opening. */
         std::vector<std::pair<EGraph::Checkpoint, size_t>> open;
         for (int step = 0; step < 160; ++step) {
-            switch (rng() % 9) {
+            switch (rng() % 8) {
             case 0:
             case 1: {
                 const auto &[op, arity] = ops[rng() % 8];
@@ -834,21 +799,14 @@ TEST(GreedyMemoTest, MemoizedTermsMatchFreshExtraction)
                 eg.rebuild();
                 break;
             case 4:
-                // Neither a touch nor a rollback moves the clock: the
-                // memo must see them through the model revision and
-                // the rollback generation.
-                burst(step);
-                registry["L" + std::to_string(rng() % 3)]
-                    .constraints.latency = 1 + rng() % 9;
-                burst(step);
-                break;
-            case 5:
                 if (open.size() < 2)
                     open.emplace_back(eg.checkpoint(), ids.size());
                 break;
-            case 6:
+            case 5:
                 if (open.empty())
                     break;
+                // A rollback does not move the clock: the memo must
+                // see it through the rollback generation.
                 burst(step);
                 if (rng() % 2) {
                     eg.rollback(open.back().first);
@@ -928,80 +886,6 @@ TEST(GreedyMemoTest, UnchangedSupportKeepsItsTermAcrossGraphChanges)
               extractGreedy(eg, root, kSize)->term->str());
     EXPECT_NE(changed, before);
     EXPECT_EQ(changed->child(1), before->child(1));
-}
-
-/** External model-input updates invalidate only the dependent cones:
- *  after touching one leaf's table entry, the re-drain recomputes a
- *  strict subset of the classes and still matches the naive path. */
-TEST(CostBoundAnalysisTest, ModelTouchInvalidatesOnlyDependentCones)
-{
-    TableCost table;
-    EGraph eg;
-    CostBoundAnalysis &bound = registerCostBound(eg, table);
-
-    EClassId a = eg.add(ENode{Symbol("a"), {}});
-    EClassId b = eg.add(ENode{Symbol("b"), {}});
-    EClassId c = eg.add(ENode{Symbol("c"), {}});
-    EClassId d = eg.add(ENode{Symbol("d"), {}});
-    EClassId t1 = eg.add(ENode{Symbol("f"), {a, b}});
-    EClassId t2 = eg.add(ENode{Symbol("g"), {c}});
-    EClassId root = eg.add(ENode{Symbol("k"), {t1, t2, d}});
-    // An independent cone that never reads "a".
-    EClassId u1 = eg.add(ENode{Symbol("f"), {c, c}});
-    eg.add(ENode{Symbol("g"), {u1}});
-    eg.rebuild();
-
-    auto base = extractGreedy(eg, root, table);
-    ASSERT_TRUE(base.has_value());
-    uint64_t before = bound.recomputes();
-
-    table.set("a", 10.0);
-    auto again = extractGreedy(eg, root, table);
-    ASSERT_TRUE(again.has_value());
-    uint64_t delta = bound.recomputes() - before;
-    EXPECT_GE(delta, 1u);
-    EXPECT_LT(delta, eg.numClasses())
-        << "invalidation must be targeted, not a global recompute";
-    EXPECT_EQ(bound.value(eg.find(a)).cost, 10.0);
-
-    ExtractOptions naive;
-    naive.naive = true;
-    auto reference = extractGreedy(eg, root, table, naive);
-    ASSERT_TRUE(reference.has_value());
-    EXPECT_EQ(again->term->str(), reference->term->str());
-    EXPECT_EQ(again->tree_cost, reference->tree_cost);
-    EXPECT_EQ(again->dag_cost, reference->dag_cost);
-    ASSERT_EQ(eg.debugCheckInvariants(), "");
-}
-
-/** The loop registry's touch log: operator[] ticks the revision and
- *  records the key (deduplicated by touchedSince); LatencyCost forwards
- *  both to the extraction layer. */
-TEST(LoopRegistryTest, TouchLogDrivesLatencyInvalidation)
-{
-    core::LoopRegistry registry;
-    EXPECT_EQ(registry.revision(), 0u);
-    registry["L1"].constraints.latency = 3;
-    registry["L2"].constraints.latency = 5;
-    EXPECT_EQ(registry.revision(), 2u);
-    EXPECT_EQ(registry.touchedSince(0),
-              (std::vector<std::string>{"L1", "L2"}));
-    registry["L1"].constraints.latency = 4;
-    EXPECT_EQ(registry.touchedSince(2),
-              std::vector<std::string>{"L1"});
-    registry["L1"].constraints.latency = 6;
-    EXPECT_EQ(registry.touchedSince(2),
-              std::vector<std::string>{"L1"})
-        << "touchedSince must deduplicate repeated touches";
-    EXPECT_EQ(registry.count("L1"), 1u);
-    EXPECT_EQ(registry.at("L1").constraints.latency, 6);
-    EXPECT_EQ(registry.size(), 2u);
-
-    core::LatencyCost cost(registry);
-    EXPECT_EQ(cost.name(), "latency");
-    EXPECT_EQ(cost.revision(), registry.revision());
-    registry["L3"];
-    EXPECT_EQ(cost.touchedSince(4), std::vector<std::string>{"L3"});
 }
 
 } // namespace

@@ -98,10 +98,10 @@ usage()
         "  --deadline S       whole-run wall-clock budget in seconds;\n"
         "                     exploration is cut short when it expires\n"
         "  --time-limit S     egg-runner wall-clock limit per\n"
-        "                     saturation (default 10). Raise it when\n"
-        "                     results must not depend on machine\n"
-        "                     speed: a time-limited exploration stops\n"
-        "                     wherever the clock caught it\n"
+        "                     saturation (default: unlimited). A\n"
+        "                     time-limited exploration stops wherever\n"
+        "                     the clock caught it, so its result\n"
+        "                     depends on machine speed\n"
         "  --mem-budget B     whole-run memory budget in bytes (k/m/g\n"
         "                     suffixes accepted); a breach cancels\n"
         "                     exploration and degrades to the best\n"
