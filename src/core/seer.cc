@@ -205,7 +205,12 @@ class SaturatePhase
                       << "phase exploded to " << egraph_.numNodes()
                       << " nodes (budget " << runner_options_.max_nodes
                       << ")");
-            std::string diag = egraph_.debugCheckInvariants();
+            // The commit gate checks what can make a rewrite unsound
+            // (structure, rule-read analyses); strict runs the full
+            // oracle, cost-bound coherence included.
+            std::string diag = options_.strict
+                                   ? egraph_.debugCheckInvariants()
+                                   : egraph_.checkCommitInvariants();
             if (!diag.empty())
                 fatal("e-graph invariants broken: " + diag);
             egraph_.commit(cp);
@@ -638,7 +643,9 @@ class OptimizeDriver
             // local extraction inside external rules (analysis-friendly,
             // or the area model when that is off) and the runner's
             // record extraction (term-size). Every checkpoint drains
-            // them and every phase-end check recomputes them. The
+            // them. No rule reads them, so the phase commit gate skips
+            // their from-scratch recomputation; `strict` runs and the
+            // unit tests check it (EGraph::debugCheckInvariants). The
             // models only extraction reads (latency, and area by
             // default) are never registered: extraction computes their
             // bounds from scratch on the frozen graph.

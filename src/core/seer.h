@@ -38,10 +38,12 @@ struct SeerOptions
     /** Exact (branch-and-bound "ILP") datapath extraction; greedy
      *  fallback when disabled (ablation). */
     bool exact_datapath = true;
-    /** Reference extraction: from-scratch bounds, no incremental
-     *  cost-bound analyses, weak exact-search bound (`seer-opt
-     *  --extract=naive`). The extracted terms are bit-identical to the
-     *  incremental path — this is the differential/benchmark arm. */
+    /** Reference extraction (`seer-opt --extract=naive`): no
+     *  cost-bound analysis is registered, so local extraction and
+     *  proof records read from-scratch bounds, and the datapath phase
+     *  is greedy. Final extraction computes its bounds from scratch
+     *  either way. The output is bit-identical to greedy extraction
+     *  (`exact_datapath` off) — the differential/benchmark arm. */
     bool naive_extract = false;
     /** Use the Section 4.6 approximation laws (false = oracle mode). */
     bool use_laws = true;
@@ -61,6 +63,8 @@ struct SeerOptions
      * behavior). When false (default), errors are recovered: rules are
      * guarded and quarantined, phases roll back, and optimize() always
      * returns valid IR with stats.degraded set when it had to recover.
+     * Strict runs also gate each phase on the full e-graph self-check
+     * (EGraph::debugCheckInvariants), cost bounds included.
      */
     bool strict = false;
     /** Whole-run wall-clock budget in seconds (0 = none). Propagated

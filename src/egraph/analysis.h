@@ -120,6 +120,14 @@ class Analysis
         return "";
     }
 
+    /**
+     * True when rule conditions or appliers read this analysis's data,
+     * so an incoherent datum can make a rewrite unsound. The phase
+     * commit gate (EGraph::checkCommitInvariants) recomputes only
+     * these; the default is the safe one.
+     */
+    virtual bool decidesRewrites() const { return true; }
+
     /** Registration slot (set by EGraph::registerAnalysis). */
     size_t index() const { return index_; }
 

@@ -690,7 +690,7 @@ EGraph::commit(const Checkpoint &cp)
 }
 
 std::string
-EGraph::debugCheckInvariants() const
+EGraph::checkInvariants(bool rewrite_deciding_only) const
 {
     if (classes_.size() != parents_.size()) {
         return MsgBuilder()
@@ -792,15 +792,29 @@ EGraph::debugCheckInvariants() const
             }
         }
     }
-    // Analysis coherence: each registered analysis recomputes its data
+    // Analysis coherence: each checked analysis recomputes its data
     // from scratch and compares with the maintained state (clean graph
     // only — propagation pending on the worklist is not incoherence).
     for (const auto &analysis : analyses_) {
+        if (rewrite_deciding_only && !analysis->decidesRewrites())
+            continue;
         std::string error = analysis->checkInvariants(*this);
         if (!error.empty())
             return error;
     }
     return "";
+}
+
+std::string
+EGraph::checkCommitInvariants() const
+{
+    return checkInvariants(true);
+}
+
+std::string
+EGraph::debugCheckInvariants() const
+{
+    return checkInvariants(false);
 }
 
 } // namespace seer::eg

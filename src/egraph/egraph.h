@@ -288,23 +288,36 @@ class EGraph
     uint64_t numCheckpointSnapshots() const { return checkpoint_snapshots_; }
 
     /**
-     * Self-check of the core invariants (canonical class keys, hashcons
-     * consistency, live memo values, every id resolving to a live
-     * class, dead class slots left empty, every live node reachable
-     * through the op index) and of every registered analysis against
-     * its from-scratch recomputation. Returns an empty string when
-     * consistent, else the first failure found. Node-level hashcons
-     * checks require a clean graph (rebuild first).
-     *
-     * This is the phase commit gate: the optimizer runs it after every
-     * saturation phase and rolls the phase back on a failure. Its cost
-     * is linear in the graph — one pass over ids, nodes and hashcons
-     * entries, with each op-index bucket resolved through find() once
-     * per call and sorted — plus each analysis's own recomputation.
+     * Full self-check, the oracle that tests and the optimizer's
+     * `strict` mode run: the core invariants (canonical class keys,
+     * hashcons consistency, live memo values, every id resolving to a
+     * live class, dead class slots left empty, every live node
+     * reachable through the op index) and every registered analysis
+     * against its from-scratch recomputation. Returns an empty string
+     * when consistent, else the first failure found. Node-level
+     * hashcons and analysis checks require a clean graph (rebuild
+     * first). Its cost is linear in the graph — one pass over ids,
+     * nodes and hashcons entries, with each op-index bucket resolved
+     * through find() once per call and sorted — plus each analysis's
+     * own recomputation.
      */
     std::string debugCheckInvariants() const;
 
+    /**
+     * The phase commit gate: the optimizer runs it after every
+     * saturation phase and rolls the phase back on a failure. The same
+     * core invariants as debugCheckInvariants(), but only the analyses
+     * whose data decides rewrites (Analysis::decidesRewrites) are
+     * recomputed: an incoherent cost bound changes which equivalent
+     * term is shown, never what is sound.
+     */
+    std::string checkCommitInvariants() const;
+
   private:
+    /** Body of the two checks above: all analyses, or only those
+     *  that decide rewrites. */
+    std::string checkInvariants(bool rewrite_deciding_only) const;
+
     /** One undoable mutation (see rollback()). */
     struct JournalEntry
     {

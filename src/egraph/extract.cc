@@ -469,7 +469,8 @@ class ExactSolver
         Extraction out;
         out.term = buildChoiceTerm(egraph_, root, best_choice_, memo);
         out.dag_cost = best_cost_;
-        out.tree_cost = treeCost(*out.term);
+        std::unordered_map<EClassId, double> tree_memo;
+        out.tree_cost = treeCost(root, tree_memo);
         return out;
     }
 
@@ -501,13 +502,21 @@ class ExactSolver
             collectGreedyChoice(child, choice);
     }
 
+    /** Tree cost of the best choice below `id` (children counted at
+     *  every use), under the class-aware model dagCostOf uses. */
     double
-    treeCost(const Term &term) const
+    treeCost(EClassId id, std::unordered_map<EClassId, double> &memo) const
     {
-        ENode probe{term.op(), {}};
-        double total = cost_.nodeCost(probe);
-        for (const auto &child : term.children())
-            total += treeCost(*child);
+        id = egraph_.find(id);
+        auto it = memo.find(id);
+        if (it != memo.end())
+            return it->second;
+        const ENode &node = egraph_.eclass(id).nodes[static_cast<size_t>(
+            best_choice_.at(id))];
+        double total = cost_.nodeCostInClass(egraph_, node);
+        for (EClassId child : node.children)
+            total += treeCost(child, memo);
+        memo.emplace(id, total);
         return total;
     }
 

@@ -162,6 +162,9 @@ class CostBoundAnalysis final : public Analysis
     void restoreDatum(EClassId id,
                       const std::shared_ptr<void> &datum) override;
     std::string checkInvariants(const EGraph &egraph) const override;
+    /** Bounds only choose which equivalent term local extraction and
+     *  proof records show; no rule reads them. */
+    bool decidesRewrites() const override { return false; }
 
   private:
     void ensure(EClassId id) const

@@ -6,11 +6,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 
 #include "core/seer.h"
 #include "core/verify.h"
+#include "egraph/extract.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
 #include "ir/verifier.h"
@@ -193,6 +195,129 @@ TEST(RobustnessTest, MissingFunctionStillThrows)
     // that is not there.
     ir::Module input = ir::parseModule(kSeqLoops);
     EXPECT_THROW(optimize(input, "no_such_func"), FatalError);
+}
+
+/**
+ * A control rule that plants one fault in the e-graph on its first
+ * call and is inert after, so only the first control phase carries
+ * the fault.
+ */
+eg::Rewrite
+plantingRule(std::function<void(eg::EGraph &)> plant)
+{
+    auto planted = std::make_shared<bool>(false);
+    return eg::makeDynRewrite(
+        "chaos-plant", "?x",
+        [planted, plant](eg::EGraph &egraph, const eg::Match &)
+            -> std::optional<eg::TermPtr> {
+            if (!*planted) {
+                *planted = true;
+                plant(egraph);
+            }
+            return std::nullopt;
+        });
+}
+
+/** A class added mid-phase whose const-fold datum claims a constant
+ *  its only node cannot fold to. */
+void
+plantWrongConstant(eg::EGraph &egraph)
+{
+    eg::EClassId id = egraph.add(eg::ENode{Symbol("planted.leaf"), {}});
+    egraph.findAnalysis("const-fold")
+        ->restoreDatum(id, std::make_shared<std::optional<int64_t>>(7));
+}
+
+/** Two classes added mid-phase, then the node of one rewritten in
+ *  place to equal the other's: the hashcons maps it to the wrong
+ *  class. */
+void
+plantBrokenHashcons(eg::EGraph &egraph)
+{
+    eg::EClassId a = egraph.add(eg::ENode{Symbol("planted.a"), {}});
+    eg::EClassId b = egraph.add(eg::ENode{Symbol("planted.b"), {}});
+    eg::EClassId pair =
+        egraph.add(eg::ENode{Symbol("planted.pair"), {a}});
+    egraph.add(eg::ENode{Symbol("planted.pair"), {b}});
+    const_cast<eg::EClass &>(egraph.eclass(pair)).nodes[0].children[0] =
+        b;
+}
+
+/** A class added mid-phase whose drained cost bounds are then
+ *  overwritten with a value no model derives. */
+void
+plantWrongCostBound(eg::EGraph &egraph)
+{
+    eg::EClassId id = egraph.add(eg::ENode{Symbol("planted.leaf"), {}});
+    for (const auto &analysis : egraph.analyses()) {
+        auto *bound = dynamic_cast<eg::CostBoundAnalysis *>(analysis.get());
+        if (bound == nullptr)
+            continue;
+        bound->ensureCurrent(egraph);
+        bound->restoreDatum(id, std::make_shared<eg::CostBoundAnalysis::Value>(
+                                    eg::CostBoundAnalysis::Value{-1, -1}));
+    }
+}
+
+TEST(RobustnessTest, CommitGateRollsBackPlantedFaults)
+{
+    ir::Module input = ir::parseModule(kSeqLoops);
+    for (auto plant : {plantWrongConstant, plantBrokenHashcons}) {
+        SeerOptions options;
+        options.extra_control_rules.push_back(plantingRule(plant));
+        SeerResult result = optimize(input, "seq_loops", options);
+        EXPECT_EQ(result.stats.phase_rollbacks, 1u);
+        EXPECT_TRUE(result.stats.degraded);
+        ASSERT_FALSE(result.stats.recovered_errors.empty());
+        EXPECT_NE(result.stats.recovered_errors[0].find(
+                      "e-graph invariants broken"),
+                  std::string::npos)
+            << result.stats.recovered_errors[0];
+        EXPECT_EQ(ir::verify(result.module), "")
+            << ir::toString(result.module);
+        std::string diag;
+        EXPECT_TRUE(checkModuleEquivalence(input, result.module,
+                                           "seq_loops", {}, &diag))
+            << diag;
+    }
+}
+
+TEST(RobustnessTest, StrictCommitGateThrowsOnPlantedFaults)
+{
+    ir::Module input = ir::parseModule(kSeqLoops);
+    for (auto plant :
+         {plantWrongConstant, plantBrokenHashcons, plantWrongCostBound}) {
+        SeerOptions options;
+        options.strict = true;
+        options.extra_control_rules.push_back(plantingRule(plant));
+        try {
+            optimize(input, "seq_loops", options);
+            ADD_FAILURE() << "strict mode must propagate the gate failure";
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find(
+                          "e-graph invariants broken"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
+}
+
+TEST(RobustnessTest, CommitGateLeavesCostBoundsToStrictRuns)
+{
+    // No rule reads cost bounds, so an incoherent one cannot make a
+    // rewrite unsound: outside strict mode the phase commits.
+    ir::Module input = ir::parseModule(kSeqLoops);
+    SeerOptions options;
+    options.extra_control_rules.push_back(
+        plantingRule(plantWrongCostBound));
+    SeerResult result = optimize(input, "seq_loops", options);
+    EXPECT_EQ(result.stats.phase_rollbacks, 0u);
+    EXPECT_EQ(ir::verify(result.module), "")
+        << ir::toString(result.module);
+    std::string diag;
+    EXPECT_TRUE(checkModuleEquivalence(input, result.module, "seq_loops",
+                                       {}, &diag))
+        << diag;
 }
 
 TEST(RobustnessTest, CleanRunReportsHealthy)

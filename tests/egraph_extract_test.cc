@@ -388,6 +388,74 @@ TEST(ExtractDifferentialTest, ExactIncrementalEqualsNaive)
     }
 }
 
+/** Class-aware cost that differs from its context-free form: a node
+ *  costs 3 plus its arity inside the graph, 1 without it. */
+class ArityAwareCost : public CostModel
+{
+  public:
+    double nodeCost(const ENode &) const override { return 1; }
+    double
+    nodeCostInClass(const EGraph &, const ENode &node) const override
+    {
+        return 3 + static_cast<double>(node.children.size());
+    }
+};
+
+/** The exact extractor prices its term's tree cost with the same
+ *  class-aware model as its DAG cost, so a shared subterm makes the
+ *  tree cost the larger, and it matches greedy on a one-choice graph. */
+TEST(ExtractDifferentialTest, ExactTreeCostUsesTheClassAwareModel)
+{
+    EGraph eg;
+    std::vector<EClassId> leaves = seedLeaves(eg);
+    EClassId shared =
+        eg.add(ENode{Symbol("f"), {leaves[0], leaves[1]}});
+    EClassId root = eg.add(ENode{Symbol("h"), {shared, shared}});
+    eg.rebuild();
+    ArityAwareCost cost;
+    auto exact = extractExact(eg, root, cost);
+    ASSERT_TRUE(exact.has_value());
+    EXPECT_EQ(exact->dag_cost, 5 + 5 + 3 + 3);
+    EXPECT_EQ(exact->tree_cost, 5 + 2 * (5 + 3 + 3));
+    EXPECT_GE(exact->tree_cost, exact->dag_cost);
+    auto greedy = extractGreedy(eg, root, cost);
+    ASSERT_TRUE(greedy.has_value());
+    EXPECT_EQ(exact->tree_cost, greedy->tree_cost);
+}
+
+/** The phase commit gate recomputes only the analyses rules read: a
+ *  wrong cost bound fails the full check alone, a wrong constant both. */
+TEST(CommitGateTest, CostBoundFaultFailsOnlyTheFullCheck)
+{
+    EGraph eg(rover::roverAnalysisHooks());
+    CostBoundAnalysis &bound = registerCostBound(eg, kToy);
+    std::vector<EClassId> leaves = seedLeaves(eg);
+    EClassId f = eg.add(ENode{Symbol("f"), {leaves[0], leaves[1]}});
+    eg.rebuild();
+    bound.ensureCurrent(eg);
+    ASSERT_EQ(eg.debugCheckInvariants(), "");
+    bound.restoreDatum(f, std::make_shared<CostBoundAnalysis::Value>(
+                              CostBoundAnalysis::Value{0.5, 1}));
+    EXPECT_EQ(eg.checkCommitInvariants(), "");
+    EXPECT_NE(eg.debugCheckInvariants().find("cost-bound:toy incoherent"),
+              std::string::npos)
+        << eg.debugCheckInvariants();
+}
+
+TEST(CommitGateTest, ConstFoldFaultFailsBothChecks)
+{
+    EGraph eg(rover::roverAnalysisHooks());
+    registerCostBound(eg, kToy);
+    std::vector<EClassId> leaves = seedLeaves(eg);
+    eg.rebuild();
+    ASSERT_EQ(eg.checkCommitInvariants(), "");
+    eg.findAnalysis("const-fold")
+        ->restoreDatum(leaves[0],
+                       std::make_shared<std::optional<int64_t>>(7));
+    EXPECT_NE(eg.checkCommitInvariants(), "");
+    EXPECT_EQ(eg.checkCommitInvariants(), eg.debugCheckInvariants());
+}
+
 /** Budget exhaustion is reported, not silent, and the result is still a
  *  valid (at worst greedy) implementation. */
 TEST(ExtractDifferentialTest, BudgetExhaustionReported)
