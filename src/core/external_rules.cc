@@ -5,6 +5,7 @@
 #include <new>
 #include <set>
 
+#include "core/may_apply.h"
 #include "core/verify.h"
 #include "hls/pragmas.h"
 #include "ir/analysis.h"
@@ -210,23 +211,36 @@ struct SnippetRuleSpec
     std::function<std::vector<TermPtr>(const EGraph &, const Match &)>
         extract;
     std::function<bool(ir::Operation &)> transform;
+    /** May-apply screen (core/may_apply.h), null when the rule has
+     *  none: false only when `transform` would decline the snippet the
+     *  candidate lowers to, so the candidate is never keyed, scheduled,
+     *  lowered or cached. */
+    bool (*may_apply)(const TermPtr &) = nullptr;
     const char *law = nullptr;
 };
 
-/** Key and proposal size of `term` under `rule`, from the key memo. */
+/** Screen verdict, key and proposal size of `term` under `rule`, from
+ *  the key memo. A screened-out candidate has no key. */
 const ExternalRuleContext::CandidateInfo &
 candidateInfo(ExternalRuleContext &ctx, const SnippetRuleSpec &rule,
               const TermPtr &term)
 {
     auto [it, fresh] = ctx.candidate_keys.try_emplace({rule.index, term});
+    ExternalRuleContext::CandidateInfo &info = it->second;
     if (fresh) {
-        ++ctx.pass_key_hashes;
-        it->second.key = passKeyFor(ctx, rule.name, term);
-        it->second.term_size = proposalTermSize(term);
+        info.may_apply = !rule.may_apply || rule.may_apply(term);
+        if (info.may_apply) {
+            ++ctx.pass_key_hashes;
+            info.key = passKeyFor(ctx, rule.name, term);
+            info.term_size = proposalTermSize(term);
+        } else {
+            ++ctx.eval_cache->counters().screened;
+        }
     }
-    if (const PassKeyProbe &probe = passKeyProbe())
-        probe(ctx, rule.name, term, it->second.key);
-    return it->second;
+    const PassKeyProbe &probe = passKeyProbe();
+    if (probe && info.may_apply)
+        probe(ctx, rule.name, term, info.key);
+    return info;
 }
 
 // --- attempt memo and iteration boundary ---------------------------------
@@ -292,7 +306,8 @@ syncIteration(ExternalRuleContext &ctx, const EGraph &egraph)
  */
 std::optional<TermPtr>
 consultSnippet(const ContextPtr &ctx, const SnippetRuleSpec &rule,
-               const TermPtr &term)
+               const TermPtr &term,
+               const ExternalRuleContext::CandidateInfo &info)
 {
     // Cancellation propagation: once the driver's whole-run budget
     // (deadline, memory, signal) is spent, stop launching snippet/pass
@@ -300,8 +315,6 @@ consultSnippet(const ContextPtr &ctx, const SnippetRuleSpec &rule,
     if (ctx->eval.exec.canceled())
         return std::nullopt;
 
-    const ExternalRuleContext::CandidateInfo &info =
-        candidateInfo(*ctx, rule, term);
     uint64_t key = info.key;
     ExternalEvalCache &cache = *ctx->eval_cache;
     const PassOutcome *outcome = cache.lookupPass(key);
@@ -407,14 +420,20 @@ makeSnippetRule(ContextPtr ctx, SnippetRuleSpec spec)
             // no inline evaluation (which would defeat the budget).
             if (ctx->scheduler->mayDefer()) {
                 for (const TermPtr &term : terms) {
-                    if (ctx->scheduler->deferred(
-                            candidateInfo(*ctx, spec, term).key))
+                    const ExternalRuleContext::CandidateInfo &info =
+                        candidateInfo(*ctx, spec, term);
+                    if (info.may_apply &&
+                        ctx->scheduler->deferred(info.key))
                         return std::nullopt;
                 }
             }
             recordAttempt(*ctx, egraph, spec.index, match.root);
             for (const TermPtr &term : terms) {
-                auto result = consultSnippet(ctx, spec, term);
+                const ExternalRuleContext::CandidateInfo &info =
+                    candidateInfo(*ctx, spec, term);
+                if (!info.may_apply)
+                    continue;
+                auto result = consultSnippet(ctx, spec, term, info);
                 if (result)
                     return result;
             }
@@ -439,6 +458,8 @@ makeSnippetRule(ContextPtr ctx, SnippetRuleSpec spec)
             for (const TermPtr &term : spec.extract(egraph, match)) {
                 const ExternalRuleContext::CandidateInfo &info =
                     candidateInfo(*ctx, spec, term);
+                if (!info.may_apply)
+                    continue;
                 uint64_t key = info.key;
                 if (!seen.insert(key).second) {
                     ++cache.counters().candidates_deduped;
@@ -519,14 +540,17 @@ seqRules()
     return rules;
 }
 
-std::vector<Rewrite>
-controlRules(ContextPtr context)
+namespace {
+
+/** The ten control-path rules' specs, sharing `context`. */
+std::vector<SnippetRuleSpec>
+snippetRuleSpecs(const ContextPtr &context)
 {
-    std::vector<Rewrite> rules;
+    std::vector<SnippetRuleSpec> specs;
     // A snippet rule's dense index is its position in this list.
     auto add_snippet_rule = [&](SnippetRuleSpec spec) {
-        spec.index = static_cast<uint32_t>(rules.size());
-        rules.push_back(makeSnippetRule(context, std::move(spec)));
+        spec.index = static_cast<uint32_t>(specs.size());
+        specs.push_back(std::move(spec));
     };
     Symbol var_a("a"), var_b("b");
 
@@ -565,9 +589,12 @@ controlRules(ContextPtr context)
     // --- single-class loop rules ------------------------------------
     auto add_loop_rule = [&](const char *name,
                              std::function<bool(ir::Operation &)>
-                                 transform) {
+                                 transform,
+                             bool (*may_apply)(const TermPtr &) =
+                                 nullptr) {
         SnippetRuleSpec spec;
         spec.name = name;
+        spec.may_apply = may_apply;
         spec.pattern = "?x";
         spec.precheck = [](const EGraph &egraph, const Match &match) {
             return classHas(egraph, match.root, isForNode);
@@ -644,22 +671,33 @@ controlRules(ContextPtr context)
                           passes::forwardMemory(func);
                           passes::canonicalize(func);
                           return true;
-                      });
+                      },
+                      hasNestedLoop);
     }
-    add_loop_rule("loop-interchange", [](ir::Operation &func) {
-        ir::Operation *loop = firstLoop(func);
-        return loop && passes::interchangeLoops(*loop);
-    });
-    add_loop_rule("loop-flatten", [](ir::Operation &func) {
-        // SEER's flatten handles perfect 2-nests; the commercial tool's
-        // coalesce pragma (Figure 15) takes whole nests.
-        ir::Operation *loop = firstLoop(func);
-        return loop && hls::coalesceNest(*loop, 2);
-    });
-    add_loop_rule("loop-perfection", [](ir::Operation &func) {
-        ir::Operation *loop = firstLoop(func);
-        return loop && passes::perfectLoop(*loop);
-    });
+    // The nest passes need a loop inside the snippet's first loop.
+    add_loop_rule(
+        "loop-interchange",
+        [](ir::Operation &func) {
+            ir::Operation *loop = firstLoop(func);
+            return loop && passes::interchangeLoops(*loop);
+        },
+        hasNestedLoop);
+    add_loop_rule(
+        "loop-flatten",
+        [](ir::Operation &func) {
+            // SEER's flatten handles perfect 2-nests; the commercial
+            // tool's coalesce pragma (Figure 15) takes whole nests.
+            ir::Operation *loop = firstLoop(func);
+            return loop && hls::coalesceNest(*loop, 2);
+        },
+        hasNestedLoop);
+    add_loop_rule(
+        "loop-perfection",
+        [](ir::Operation &func) {
+            ir::Operation *loop = firstLoop(func);
+            return loop && passes::perfectLoop(*loop);
+        },
+        hasNestedLoop);
     add_loop_rule("memory-reuse", [](ir::Operation &func) {
         ir::Operation *loop = firstLoop(func);
         return loop && passes::reuseMemory(*loop);
@@ -692,6 +730,8 @@ controlRules(ContextPtr context)
             return out;
         };
         spec.transform = std::move(transform);
+        // Both passes start from the snippet's first scf.if.
+        spec.may_apply = hasIfStatement;
         add_snippet_rule(std::move(spec));
     };
     add_if_rule("if-conversion", [](ir::Operation &func) {
@@ -757,10 +797,34 @@ controlRules(ContextPtr context)
         spec.transform = [](ir::Operation &func) {
             return passes::forwardMemory(func);
         };
+        spec.may_apply = mayForwardMemory;
         add_snippet_rule(std::move(spec));
     }
 
+    return specs;
+}
+
+} // namespace
+
+std::vector<Rewrite>
+controlRules(ContextPtr context)
+{
+    std::vector<Rewrite> rules;
+    for (SnippetRuleSpec &spec : snippetRuleSpecs(context))
+        rules.push_back(makeSnippetRule(context, std::move(spec)));
     return rules;
+}
+
+std::vector<ScreenedPass>
+screenedPasses(ContextPtr context)
+{
+    std::vector<ScreenedPass> out;
+    for (SnippetRuleSpec &spec : snippetRuleSpecs(context)) {
+        if (spec.may_apply)
+            out.push_back({spec.name, spec.may_apply,
+                           std::move(spec.transform)});
+    }
+    return out;
 }
 
 } // namespace seer::core

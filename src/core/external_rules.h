@@ -66,9 +66,11 @@ struct ExternalRuleContext
     eg::GreedyMemo local_extraction;
 
     /** What a rule needs of one candidate term, computed once per run:
-     *  its pass-cache key and its proposal size (proposalTermSize). */
+     *  its may-apply screen verdict and, only when that is true, its
+     *  pass-cache key and its proposal size (proposalTermSize). */
     struct CandidateInfo
     {
+        bool may_apply = true;
         uint64_t key = 0;
         size_t term_size = 0;
     };
@@ -94,15 +96,16 @@ struct ExternalRuleContext
     };
     /**
      * Key memo: the prepare hook, the deferral check and the consult
-     * read every candidate's key and size here, so each (rule,
-     * candidate) is hashed once per run instead of once per e-graph
-     * state. Sound because terms are immutable and every key input
+     * read every candidate's screen verdict, key and size here, so
+     * each (rule, candidate) is screened and hashed once per run
+     * instead of once per e-graph state. Sound because terms are immutable and every key input
      * other than the term (rule name, config, schedule overrides) is
      * fixed for the run. optimize() clears it with local_extraction.
      */
     std::unordered_map<CandidateKey, CandidateInfo, CandidateKeyHash>
         candidate_keys;
-    /** Pass keys computed so far (key-memo misses). */
+    /** Pass keys computed so far (key-memo misses the screen let
+     *  through). */
     size_t pass_key_hashes = 0;
 
     /**
@@ -197,6 +200,19 @@ std::vector<eg::Rewrite> seqRules();
 
 /** All ten control-path rules, sharing `context`. */
 std::vector<eg::Rewrite> controlRules(ContextPtr context);
+
+/** A control-path rule that has a may-apply screen (core/may_apply.h),
+ *  with the pass it screens for: for tests that check the screen
+ *  against the pass. */
+struct ScreenedPass
+{
+    std::string rule;
+    bool (*may_apply)(const eg::TermPtr &);
+    std::function<bool(ir::Operation &)> transform;
+};
+
+/** The screened rules of controlRules(context), in its order. */
+std::vector<ScreenedPass> screenedPasses(ContextPtr context);
 
 } // namespace seer::core
 

@@ -225,6 +225,7 @@ evaluateSnippet(const TermPtr &term, uint64_t key,
         charge.canceled || config.exec.canceled() || timed_out;
     if (charge.canceled)
         return std::nullopt; // budget-dependent: never cache or use
+    charge.not_applied = out.status == PassOutcome::Status::NotApplied;
     return out;
 }
 
@@ -284,6 +285,12 @@ collectLoopIds(const TermPtr &term, std::vector<std::string> &out)
 {
     if (sl::isForSymbol(term->op()))
         out.emplace_back(sl::loopIdOf(term->op()));
+    // Only statements that hold statements can hold a loop: value
+    // subterms, often shared DAGs, are never entered.
+    std::string_view name = sl::opNameOf(term->op());
+    if (name != "seq" && name != "affine.for" && name != "scf.if" &&
+        name != "scf.while" && name != "func")
+        return;
     for (const auto &child : term->children())
         collectLoopIds(child, out);
 }
@@ -374,6 +381,7 @@ void
 ExternalEvalCache::chargeEvaluation(const EvalCharge &charge)
 {
     ++stats_.evaluations;
+    stats_.not_applied += charge.not_applied;
     if (charge.canceled) {
         ++stats_.canceled;
     } else if (charge.gate_inconclusive) {
@@ -761,6 +769,8 @@ toJson(const ExternalEvalStats &stats)
     out.set("pass_cache_misses", stats.pass_cache_misses);
     out.set("candidates_deduped", stats.candidates_deduped);
     out.set("evaluations", stats.evaluations);
+    out.set("not_applied", stats.not_applied);
+    out.set("screened", stats.screened);
     out.set("batches", stats.batches);
     out.set("batch_jobs", stats.batch_jobs);
     out.set("canceled", stats.canceled);

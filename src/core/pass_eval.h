@@ -83,6 +83,11 @@ struct ExternalEvalStats
     size_t candidates_deduped = 0;
     /** Cold pipelines actually run (pass executions). */
     size_t evaluations = 0;
+    /** Evaluations whose pass declined the snippet (NotApplied). */
+    size_t not_applied = 0;
+    /** Candidates a rule's may-apply screen dropped before lowering,
+     *  counted once per (rule, candidate) per run. */
+    size_t screened = 0;
     /** Prepare-stage batches handed to the worker pool. */
     size_t batches = 0;
     /** Jobs evaluated inside those batches. */
@@ -138,6 +143,8 @@ struct EvalCharge
     double verify_seconds = 0;
     double schedule_seconds = 0;
     bool canceled = false;
+    /** The pass declined the snippet (not set when canceled). */
+    bool not_applied = false;
     /** The gate accepted with no conclusive run, for these causes. */
     bool gate_inconclusive = false;
     std::vector<std::string> gate_inconclusive_causes;

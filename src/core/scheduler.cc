@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "support/rng.h"
@@ -68,15 +70,36 @@ toJson(const SchedulerStats &stats)
     return out;
 }
 
+namespace {
+
+/** Tree size of `term`, each distinct node sized once; sums saturate
+ *  (a DAG shared k levels deep has a tree size near 2^k). */
+size_t
+treeSize(const eg::Term *term,
+         std::unordered_map<const eg::Term *, size_t> &memo)
+{
+    if (term->isLeaf())
+        return 1;
+    if (auto it = memo.find(term); it != memo.end())
+        return it->second;
+    size_t n = 1;
+    for (const TermPtr &child : term->children()) {
+        size_t child_size = treeSize(child.get(), memo);
+        n = child_size > SIZE_MAX - n ? SIZE_MAX : n + child_size;
+    }
+    memo.emplace(term, n);
+    return n;
+}
+
+} // namespace
+
 size_t
 proposalTermSize(const TermPtr &term)
 {
     if (!term)
         return 0;
-    size_t n = 1;
-    for (const TermPtr &child : term->children())
-        n += proposalTermSize(child);
-    return n;
+    std::unordered_map<const eg::Term *, size_t> memo;
+    return treeSize(term.get(), memo);
 }
 
 namespace {

@@ -178,7 +178,9 @@ std::unique_ptr<ProposalScheduler> makeExhaustiveScheduler();
 std::unique_ptr<ProposalScheduler>
 makeBanditScheduler(const BanditConfig &config);
 
-/** Node count of a term — the deterministic eval-cost proxy. */
+/** Node count of a term as a tree — the deterministic eval-cost
+ *  proxy. Shared nodes are walked once; the count saturates at
+ *  SIZE_MAX. */
 size_t proposalTermSize(const eg::TermPtr &term);
 
 } // namespace seer::core

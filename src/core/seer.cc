@@ -63,6 +63,8 @@ evalStatsDelta(const ExternalEvalStats &now, const ExternalEvalStats &base)
     d.pass_cache_misses -= base.pass_cache_misses;
     d.candidates_deduped -= base.candidates_deduped;
     d.evaluations -= base.evaluations;
+    d.not_applied -= base.not_applied;
+    d.screened -= base.screened;
     d.batches -= base.batches;
     d.batch_jobs -= base.batch_jobs;
     d.batch_workers -= base.batch_workers;

@@ -222,14 +222,53 @@ EGraph::add(ENode node)
     return id;
 }
 
+namespace {
+
+/** Per-call memo of the term walks below: a node shared in the DAG is
+ *  added or looked up once, not once per path to it. */
+using TermClassMemo = std::unordered_map<const Term *, EClassId>;
+
 EClassId
-EGraph::addTerm(const TermPtr &term)
+addTermShared(EGraph &egraph, const TermPtr &term, TermClassMemo &memo)
 {
+    if (auto it = memo.find(term.get()); it != memo.end())
+        return it->second;
     ENode node;
     node.op = term->op();
     for (const auto &child : term->children())
-        node.children.push_back(addTerm(child));
-    return add(std::move(node));
+        node.children.push_back(addTermShared(egraph, child, memo));
+    EClassId id = egraph.add(std::move(node));
+    memo.emplace(term.get(), id);
+    return id;
+}
+
+std::optional<EClassId>
+lookupTermShared(const EGraph &egraph, const TermPtr &term,
+                 TermClassMemo &memo)
+{
+    if (auto it = memo.find(term.get()); it != memo.end())
+        return it->second;
+    ENode node;
+    node.op = term->op();
+    for (const auto &child : term->children()) {
+        auto child_id = lookupTermShared(egraph, child, memo);
+        if (!child_id)
+            return std::nullopt;
+        node.children.push_back(*child_id);
+    }
+    auto id = egraph.lookup(std::move(node));
+    if (id)
+        memo.emplace(term.get(), *id);
+    return id;
+}
+
+} // namespace
+
+EClassId
+EGraph::addTerm(const TermPtr &term)
+{
+    TermClassMemo memo;
+    return addTermShared(*this, term, memo);
 }
 
 std::optional<EClassId>
@@ -245,15 +284,8 @@ EGraph::lookup(ENode node) const
 std::optional<EClassId>
 EGraph::lookupTerm(const TermPtr &term) const
 {
-    ENode node;
-    node.op = term->op();
-    for (const auto &child : term->children()) {
-        auto child_id = lookupTerm(child);
-        if (!child_id)
-            return std::nullopt;
-        node.children.push_back(*child_id);
-    }
-    return lookup(std::move(node));
+    TermClassMemo memo;
+    return lookupTermShared(*this, term, memo);
 }
 
 bool

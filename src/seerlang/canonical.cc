@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -39,50 +40,91 @@ forBinder(Symbol op)
     return fields[1];
 }
 
-uint64_t
-hashRec(const TermPtr &term, Env &env, uint64_t &binder_count)
+/**
+ * One canonical-hash walk. Binders are numbered in pre-order, so a
+ * subterm whose walk binds a loop hashes differently at each visit. A
+ * subterm that binds none hashes the same wherever the same binders
+ * are in scope: it is memoized per (node, binder context), which keeps
+ * the walk linear in the distinct nodes of a shared value DAG.
+ */
+class CanonicalHasher
 {
-    Symbol op = term->op();
-    uint64_t hash = kHashSeed;
+  public:
+    uint64_t
+    hashTerm(const TermPtr &term)
+    {
+        Symbol op = term->op();
+        uint64_t hash = kHashSeed;
 
-    if (auto iv_name = forBinder(op)) {
-        // Binder: op name + binder number stand in for the iv name and
-        // the loop id. lb/ub/step are evaluated outside the binding;
-        // only the body (child 3) sees the iv.
-        uint64_t binder = binder_count++;
-        hash = hashString("affine.for#", hash);
-        hash = hashValue(binder, hash);
-        hash = hashValue(term->arity(), hash);
-        size_t body_index = term->arity() - 1;
-        for (size_t i = 0; i < term->arity(); ++i) {
-            if (i != body_index) {
-                hash = hashCombine(
-                    hash, hashRec(term->child(i), env, binder_count));
+        if (auto iv_name = forBinder(op)) {
+            // Binder: op name + binder number stand in for the iv name
+            // and the loop id. lb/ub/step are evaluated outside the
+            // binding; only the body (child 3) sees the iv.
+            uint64_t binder = binder_count_++;
+            hash = hashString("affine.for#", hash);
+            hash = hashValue(binder, hash);
+            hash = hashValue(term->arity(), hash);
+            size_t body_index = term->arity() - 1;
+            for (size_t i = 0; i < term->arity(); ++i) {
+                if (i != body_index)
+                    hash = hashCombine(hash, hashTerm(term->child(i)));
             }
+            env_.emplace_back(*iv_name, binder);
+            uint32_t outer = context_;
+            context_ = next_context_++;
+            hash = hashCombine(hash, hashTerm(term->child(body_index)));
+            context_ = outer;
+            env_.pop_back();
+            return hash;
         }
-        env.emplace_back(*iv_name, binder);
-        hash = hashCombine(
-            hash, hashRec(term->child(body_index), env, binder_count));
-        env.pop_back();
+
+        if (auto var = decodeVar(op)) {
+            if (auto binder = lookup(env_, *var)) {
+                hash = hashString("%bvar", hash);
+                return hashValue(*binder, hash);
+            }
+            // Free variable: semantic payload, hash by name.
+        }
+
+        // hash is still kHashSeed here, so the interned text hash
+        // equals hashString(op.str(), hash): persisted cache keys do
+        // not move.
+        hash = op.textHash();
+        hash = hashValue(term->arity(), hash);
+        if (term->isLeaf())
+            return hash;
+        std::pair<const eg::Term *, uint32_t> key{term.get(), context_};
+        if (auto it = memo_.find(key); it != memo_.end())
+            return it->second;
+        uint64_t binders_before = binder_count_;
+        for (const TermPtr &child : term->children())
+            hash = hashCombine(hash, hashTerm(child));
+        if (binder_count_ == binders_before)
+            memo_.emplace(key, hash);
         return hash;
     }
 
-    if (auto var = decodeVar(op)) {
-        if (auto binder = lookup(env, *var)) {
-            hash = hashString("%bvar", hash);
-            return hashValue(*binder, hash);
+  private:
+    struct KeyHash
+    {
+        size_t
+        operator()(const std::pair<const eg::Term *, uint32_t> &key) const
+        {
+            return std::hash<const eg::Term *>()(key.first) ^
+                   (static_cast<size_t>(key.second) * 0x9e3779b97f4a7c15);
         }
-        // Free variable: semantic payload, hash by name.
-    }
+    };
 
-    // hash is still kHashSeed here, so the interned text hash equals
-    // hashString(op.str(), hash): persisted cache keys do not move.
-    hash = op.textHash();
-    hash = hashValue(term->arity(), hash);
-    for (const TermPtr &child : term->children())
-        hash = hashCombine(hash, hashRec(child, env, binder_count));
-    return hash;
-}
+    Env env_;
+    uint64_t binder_count_ = 0;
+    /** The binder context: one id per entry into a loop body, so equal
+     *  ids mean equal environments. */
+    uint32_t context_ = 0;
+    uint32_t next_context_ = 1;
+    std::unordered_map<std::pair<const eg::Term *, uint32_t>, uint64_t,
+                       KeyHash>
+        memo_;
+};
 
 bool
 alphaRec(const TermPtr &a, const TermPtr &b, Env &env_a, Env &env_b,
@@ -142,9 +184,7 @@ alphaRec(const TermPtr &a, const TermPtr &b, Env &env_a, Env &env_b,
 uint64_t
 canonicalTermHash(const TermPtr &term)
 {
-    Env env;
-    uint64_t binder_count = 0;
-    return hashRec(term, env, binder_count);
+    return CanonicalHasher().hashTerm(term);
 }
 
 bool

@@ -1,16 +1,19 @@
 /** SeerLang translation tests: IR -> term -> IR round trips. */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
 #include "benchmarks/benchmarks.h"
 #include "core/external_rules.h"
 #include "core/seer.h"
+#include "egraph/egraph.h"
 #include "ir/interp.h"
 #include "ir/ops.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
 #include "ir/verifier.h"
+#include "seerlang/canonical.h"
 #include "seerlang/encoding.h"
 #include "seerlang/from_term.h"
 #include "seerlang/to_term.h"
@@ -585,6 +588,59 @@ TEST(SnippetLoweringTest, DoublingChainLowersInLinearTime)
         adds += isa(op, ir::opnames::kAddI);
     });
     EXPECT_EQ(adds, 48u);
+}
+
+/** A multiply chain `depth` deep in which each level reads the one
+ *  below twice: `depth + 1` distinct nodes, 2^(depth+1) - 1 as a tree. */
+eg::TermPtr
+squaringChain(int depth)
+{
+    eg::TermPtr x = node("arg:x:i32");
+    for (int k = 0; k < depth; ++k)
+        x = node("arith.muli:i32", {x, x});
+    return x;
+}
+
+/** The walks that key, size and insert candidates visit each distinct
+ *  node once: a tree walk of this depth-40 chain takes 2^41 steps. */
+TEST(SharedDagTest, TermWalksVisitEachDistinctNodeOnce)
+{
+    eg::TermPtr chain = squaringChain(40);
+    // The proposal size stays the tree size (the bandit's reward reads
+    // it), saturating where the tree outgrows size_t.
+    EXPECT_EQ(core::proposalTermSize(chain), (size_t{1} << 41) - 1);
+    EXPECT_EQ(core::proposalTermSize(squaringChain(70)), SIZE_MAX);
+    EXPECT_EQ(canonicalTermHash(chain),
+              canonicalTermHash(squaringChain(40)));
+    EXPECT_NE(canonicalTermHash(chain),
+              canonicalTermHash(squaringChain(39)));
+    eg::EGraph egraph;
+    eg::EClassId id = egraph.addTerm(chain);
+    EXPECT_EQ(egraph.numClasses(), 41u);
+    EXPECT_EQ(egraph.lookupTerm(squaringChain(40)), id);
+    EXPECT_EQ(egraph.lookupTerm(squaringChain(41)), std::nullopt);
+}
+
+/** The canonical hash of a shared term is its tree's: a value shared
+ *  under different binders hashes per binder context, and a shared
+ *  loop takes a fresh pre-order binder number at each visit. */
+TEST(SharedDagTest, CanonicalHashOfASharedTermIsItsTreeHash)
+{
+    eg::TermPtr iv = node("var:i");
+    eg::TermPtr index =
+        node("arith.addi:index", {iv, node("arith.muli:index", {iv, iv})});
+    auto store = [&](const std::string &tag) {
+        return node("memref.store:" + tag,
+                    {node("const:1:i32"), node("arg:a:memref<64xi32>"),
+                     index});
+    };
+    // The inner loop rebinds i; the outer body and the top level read
+    // `index` under the outer binder and with i free.
+    eg::TermPtr inner = forLoop("i", "L1", store("s1"));
+    eg::TermPtr outer = forLoop("i", "L2", node("seq", {inner, store("s2")}));
+    eg::TermPtr dag =
+        node("seq", {outer, node("seq", {inner, store("s3")})});
+    EXPECT_EQ(canonicalTermHash(dag), canonicalTermHash(deepCopy(dag)));
 }
 
 } // namespace
