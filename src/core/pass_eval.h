@@ -156,12 +156,12 @@ struct EvalCharge
  * workers return their outcomes and charges, and the runner thread
  * folds them in (evaluateBatch), so no store here needs a lock.
  *
- * Persistent mode memoizes across iterations, phases, optimize() calls
- * and (via load/save) processes. Ephemeral mode (--no-pass-cache) is an
- * iteration-scoped staging buffer: the prepare stage still needs a
- * channel to hand batch results to the serial consult, but entries
- * are dropped at the next iteration boundary so nothing is ever reused
- * across iterations.
+ * Persistent mode memoizes across iterations and phases of one
+ * optimize() call, and (via load/save) across calls and processes.
+ * Ephemeral mode (--no-pass-cache) is an iteration-scoped staging
+ * buffer: the prepare stage still needs a channel to hand batch
+ * results to the serial consult, but entries are dropped at the next
+ * iteration boundary so nothing is ever reused across iterations.
  */
 class ExternalEvalCache
 {

@@ -50,40 +50,6 @@ preNormalize(ir::Operation &func)
     passes::canonicalize(func);
 }
 
-/**
- * Per-run view of a (possibly shared, cross-run) evaluation cache:
- * counters report this run's delta; the disk fields describe the cache
- * itself and pass through.
- */
-ExternalEvalStats
-evalStatsDelta(const ExternalEvalStats &now, const ExternalEvalStats &base)
-{
-    ExternalEvalStats d = now;
-    d.pass_cache_hits -= base.pass_cache_hits;
-    d.pass_cache_misses -= base.pass_cache_misses;
-    d.candidates_deduped -= base.candidates_deduped;
-    d.evaluations -= base.evaluations;
-    d.not_applied -= base.not_applied;
-    d.screened -= base.screened;
-    d.batches -= base.batches;
-    d.batch_jobs -= base.batch_jobs;
-    d.batch_workers -= base.batch_workers;
-    d.canceled -= base.canceled;
-    d.gate_inconclusive -= base.gate_inconclusive;
-    for (const auto &[cause, count] : base.gate_inconclusive_causes) {
-        if ((d.gate_inconclusive_causes[cause] -= count) == 0)
-            d.gate_inconclusive_causes.erase(cause);
-    }
-    d.emit_seconds -= base.emit_seconds;
-    d.pass_seconds -= base.pass_seconds;
-    d.translate_seconds -= base.translate_seconds;
-    d.verify_seconds -= base.verify_seconds;
-    d.schedule_seconds -= base.schedule_seconds;
-    // resident_* / disk_* are levels describing the
-    // cache itself, not per-run counters: they pass through.
-    return d;
-}
-
 /** Seed the registry from the initial HLS schedule (called once). */
 LoopRegistry
 seedRegistry(const sl::Translation &translation, ir::Operation &func,
@@ -571,35 +537,25 @@ class OptimizeDriver
             bandit.eval_budget = options_.eval_budget;
             context_->scheduler = makeBanditScheduler(bandit);
         }
-        // Memoized + parallel external-pass evaluation. A shared cache
-        // (a sweep over one kernel) wins over per-run construction;
-        // otherwise the cache is persistent (memoizing) or an
-        // iteration-scoped staging buffer, per use_pass_cache. Either
-        // way the exploration result is identical — the cache memoizes
-        // a pure function and unions stay serial.
-        eval_cache_ = options_.shared_eval_cache;
-        if (!eval_cache_) {
-            eval_cache_ = std::make_shared<ExternalEvalCache>(
-                options_.use_pass_cache);
-            if (options_.use_pass_cache &&
-                !options_.pass_cache_file.empty()) {
-                std::string cache_error;
-                eval_cache_->loadFile(options_.pass_cache_file,
-                                      &cache_error);
-                if (!cache_error.empty()) {
-                    // Corrupt persistence is recovered by a cold
-                    // start; the run itself is unaffected.
-                    recordRecovered(result_.stats, cache_error);
-                }
+        // Memoized + parallel external-pass evaluation. The run's
+        // cache is persistent (memoizing) or an iteration-scoped
+        // staging buffer, per use_pass_cache. Either way the
+        // exploration result is identical — the cache memoizes a pure
+        // function and unions stay serial.
+        context_->eval_cache =
+            std::make_shared<ExternalEvalCache>(options_.use_pass_cache);
+        ExternalEvalCache &cache = *context_->eval_cache;
+        if (options_.use_pass_cache && !options_.pass_cache_file.empty()) {
+            std::string cache_error;
+            cache.loadFile(options_.pass_cache_file, &cache_error);
+            if (!cache_error.empty()) {
+                // Corrupt persistence is recovered by a cold start;
+                // the run itself is unaffected.
+                recordRecovered(result_.stats, cache_error);
             }
         }
-        context_->eval_cache = eval_cache_;
-        eval_cache_->setExecContext(exec_);
+        cache.setExecContext(exec_);
         context_->jobs = options_.jobs > 0 ? options_.jobs : 1;
-        // Stats snapshots: a shared cache accumulates across
-        // optimize() calls, so this run reports deltas against entry
-        // values.
-        eval_stats_base_ = eval_cache_->stats();
 
         // Deterministic run-level name scope: every fresh tag /
         // loop id drawn anywhere in this run (translation,
@@ -802,21 +758,20 @@ class OptimizeDriver
         // honest figure under -j; per-stage thread-seconds live in
         // external_eval).
         result_.stats.time_in_passes_seconds = context_->mlir_seconds;
-        result_.stats.external_eval =
-            evalStatsDelta(eval_cache_->stats(), eval_stats_base_);
+        const ExternalEvalCache &cache = *context_->eval_cache;
+        result_.stats.external_eval = cache.stats();
+        const ExternalEvalStats &eval = result_.stats.external_eval;
         result_.stats.scheduler = context_->scheduler->stats();
         // A warm run that loaded the file and memoized nothing new
         // would rewrite identical bytes: skip it. Persistent entries
         // are never dropped, so an unchanged count means no insert.
         bool cache_unchanged =
-            eval_stats_base_.disk_entries_loaded > 0 &&
-            result_.stats.external_eval.resident_entries ==
-                eval_stats_base_.resident_entries;
-        if (!options_.shared_eval_cache && options_.use_pass_cache &&
-            !options_.pass_cache_file.empty() && !cache_unchanged) {
+            eval.disk_entries_loaded > 0 &&
+            eval.resident_entries == eval.disk_entries_loaded;
+        if (options_.use_pass_cache && !options_.pass_cache_file.empty() &&
+            !cache_unchanged) {
             std::string cache_error;
-            if (!eval_cache_->saveFile(options_.pass_cache_file,
-                                       &cache_error)) {
+            if (!cache.saveFile(options_.pass_cache_file, &cache_error)) {
                 recordRecovered(result_.stats, cache_error);
             }
         }
@@ -871,8 +826,6 @@ class OptimizeDriver
     ir::Module working_;
     sl::Translation translation_;
     ContextPtr context_;
-    EvalCachePtr eval_cache_;
-    ExternalEvalStats eval_stats_base_;
     std::optional<sl::NameScope> run_scope_;
     std::optional<EGraph> egraph_;
     EClassId root_{};

@@ -112,10 +112,11 @@ struct SeerOptions
      */
     unsigned jobs = 1;
     /**
-     * Memoize pass outcomes across iterations, phases and optimize()
-     * calls. Off: outcomes are staged per iteration only (the honest
-     * cold baseline). The exploration result is identical either way —
-     * the cache is a transparent memo over a pure function.
+     * Memoize pass outcomes across iterations and phases (and, with
+     * pass_cache_file, across optimize() calls). Off: outcomes are
+     * staged per iteration only (the honest cold baseline). The
+     * exploration result is identical either way — the cache is a
+     * transparent memo over a pure function.
      */
     bool use_pass_cache = true;
     /** Load/save the pass-outcome cache here (empty = in-memory only;
@@ -123,10 +124,6 @@ struct SeerOptions
      *  run that loaded the file and memoized nothing new leaves it
      *  untouched. */
     std::string pass_cache_file;
-    /** Share one evaluation cache across optimize() calls (e.g. a
-     *  design-space sweep over one kernel); overrides use_pass_cache
-     *  and pass_cache_file when set. */
-    EvalCachePtr shared_eval_cache;
 
     // --- proposal scheduling ---------------------------------------------
     /**

@@ -114,8 +114,8 @@ struct CorpusReport
 /** Run the corpus. Repro files land in options.repro_dir. */
 CorpusReport runCorpus(const CorpusOptions &options);
 
-/** Machine-readable view of a run (consumed by bench_to_json.py
- *  --mode corpus, uploaded by the CI corpus-smoke job). */
+/** Machine-readable view of a run (consumed by bench_to_json.py,
+ *  uploaded by the CI corpus-smoke job). */
 json::Value toJson(const CorpusReport &report,
                    const CorpusOptions &options);
 

@@ -1,6 +1,9 @@
 #include "tools/cli_common.h"
 
+#include <cctype>
+#include <cmath>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -72,7 +75,7 @@ ArgCursor::value()
 }
 
 int64_t
-ArgCursor::intValue()
+ArgCursor::wholeValue()
 {
     std::string text = value();
     if (bad_value_)
@@ -100,7 +103,9 @@ ArgCursor::doubleValue()
     try {
         size_t used = 0;
         double parsed = std::stod(text, &used);
-        if (used != text.size())
+        // NaN fails every range check a caller can write, so it would
+        // pass all of them: reject it here.
+        if (used != text.size() || std::isnan(parsed))
             throw std::invalid_argument(text);
         return parsed;
     } catch (const std::exception &) {
@@ -118,8 +123,9 @@ ArgCursor::byteValue()
     if (bad_value_)
         return std::nullopt;
     uint64_t scale = 1;
-    if (!text.empty()) {
-        char suffix = text.back();
+    std::string digits = text;
+    if (!digits.empty()) {
+        char suffix = digits.back();
         if (suffix == 'k' || suffix == 'K')
             scale = 1024ull;
         else if (suffix == 'm' || suffix == 'M')
@@ -127,12 +133,17 @@ ArgCursor::byteValue()
         else if (suffix == 'g' || suffix == 'G')
             scale = 1024ull * 1024 * 1024;
         if (scale != 1)
-            text.pop_back();
+            digits.pop_back();
     }
     try {
+        // stoull accepts a sign and wraps "-1" to 2^64 - 1: digits only.
+        if (digits.empty() ||
+            !std::isdigit(static_cast<unsigned char>(digits[0])))
+            throw std::invalid_argument(text);
         size_t used = 0;
-        uint64_t parsed = std::stoull(text, &used);
-        if (used != text.size() || text.empty())
+        uint64_t parsed = std::stoull(digits, &used);
+        if (used != digits.size() ||
+            parsed > std::numeric_limits<uint64_t>::max() / scale)
             throw std::invalid_argument(text);
         return parsed * scale;
     } catch (const std::exception &) {
@@ -141,18 +152,6 @@ ArgCursor::byteValue()
         bad_value_ = true;
         return std::nullopt;
     }
-}
-
-int64_t
-ArgCursor::positiveValue(const char *what)
-{
-    int64_t parsed = intValue();
-    if (!bad_value_ && parsed < 1) {
-        std::cerr << prog_ << ": " << arg_ << " must be >= 1 (" << what
-                  << ")\n";
-        bad_value_ = true;
-    }
-    return parsed;
 }
 
 std::vector<std::string>
@@ -187,7 +186,7 @@ handleScheduleFlag(ArgCursor &args, const std::string &arg,
         else
             seer.eval_budget = budget;
     } else if (arg == "--schedule-seed") {
-        seer.schedule_seed = static_cast<uint64_t>(args.intValue());
+        seer.schedule_seed = args.intValue<uint64_t>();
     } else {
         return false;
     }

@@ -5,7 +5,8 @@
  * seer-opt and seer-corpus both speak the same flag
  * dialect: GNU-style `--flag value` and `--flag=value` are equivalent,
  * a bad number in either spelling reports "bad integer"/"bad number"
- * (never "unknown option"), byte counts accept k/m/g suffixes, and a
+ * (never "unknown option"), an integer its field cannot hold and a NaN
+ * are rejected, byte counts accept k/m/g suffixes, and a
  * value handed to a boolean flag ("--quiet=1") is a usage error. That
  * contract used to be copy-pasted per binary; this cursor centralizes
  * it so each dispatch loop stays one `if` chain over flag names.
@@ -18,7 +19,7 @@
  *       if (arg == "--func")
  *           options.func = args.value();
  *       else if (arg == "--jobs")
- *           options.jobs = args.intValue();
+ *           options.jobs = args.positiveValue<unsigned>("workers");
  *       else if (arg == "--quiet")
  *           options.quiet = true;
  *       else
@@ -31,8 +32,10 @@
 #define SEER_TOOLS_CLI_COMMON_H_
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace seer::core {
@@ -75,20 +78,30 @@ class ArgCursor
 
     /** The raw value: inline `=value` or the next argument. */
     std::string value();
-    /** A whole int64 ("bad integer" otherwise). */
-    int64_t intValue();
-    /** A whole double ("bad number" otherwise). */
+    /**
+     * A whole number that `T` can hold: "bad integer" when it is not
+     * a whole int64, "<arg> must be >= <min>" / "<= <max>" when `T`
+     * cannot hold it (so a flag never wraps or narrows silently).
+     */
+    template <typename T = int64_t> T intValue();
+    /** A whole, non-NaN double ("bad number" otherwise). */
     double doubleValue();
     /**
      * A byte count with optional k/m/g suffix ("bad byte count"
-     * otherwise). Returns nullopt on failure.
+     * otherwise, also when it overflows 64 bits). Returns nullopt on
+     * failure.
      */
     std::optional<uint64_t> byteValue();
-    /** intValue(), additionally requiring >= 1 ("<arg> must be >= 1
-     *  (<what>)" otherwise). */
-    int64_t positiveValue(const char *what);
+    /** intValue<T>(), additionally requiring >= 1 ("<arg> must be
+     *  >= 1 (<what>)" otherwise). */
+    template <typename T> T positiveValue(const char *what);
 
   private:
+    /** The value as a whole int64 ("bad integer" otherwise). */
+    int64_t wholeValue();
+    /** `parsed` as a `T`, or a failed argument when T cannot hold it. */
+    template <typename T> T narrow(int64_t parsed);
+
     std::string prog_;
     std::vector<std::string> args_;
     size_t index_ = 0;
@@ -96,6 +109,41 @@ class ArgCursor
     std::optional<std::string> inline_value_;
     bool bad_value_ = false;
 };
+
+template <typename T>
+T
+ArgCursor::narrow(int64_t parsed)
+{
+    using Limits = std::numeric_limits<T>;
+    if (bad_value_)
+        return T{};
+    if (std::cmp_less(parsed, Limits::min()))
+        fail(arg_ + " must be >= " + std::to_string(Limits::min()));
+    else if (std::cmp_greater(parsed, Limits::max()))
+        fail(arg_ + " must be <= " + std::to_string(Limits::max()));
+    else
+        return static_cast<T>(parsed);
+    return T{};
+}
+
+template <typename T>
+T
+ArgCursor::intValue()
+{
+    return narrow<T>(wholeValue());
+}
+
+template <typename T>
+T
+ArgCursor::positiveValue(const char *what)
+{
+    int64_t parsed = wholeValue();
+    if (!bad_value_ && parsed < 1) {
+        fail(arg_ + " must be >= 1 (" + what + ")");
+        return T{};
+    }
+    return narrow<T>(parsed);
+}
 
 /** Split a comma-separated list, dropping empty pieces. */
 std::vector<std::string> splitList(const std::string &text);

@@ -117,11 +117,9 @@ parseArgs(int argc, char **argv, CliOptions &options)
     while (args.nextArg()) {
         const std::string &arg = args.arg();
         if (arg == "--seeds") {
-            corpus.count = static_cast<size_t>(
-                args.positiveValue("corpus size"));
+            corpus.count = args.positiveValue<size_t>("corpus size");
         } else if (arg == "--first-seed") {
-            corpus.first_seed =
-                static_cast<uint64_t>(args.intValue());
+            corpus.first_seed = args.intValue<uint64_t>();
         } else if (arg == "--check") {
             options.check_file = args.value();
         } else if (arg == "--out") {
@@ -137,31 +135,27 @@ parseArgs(int argc, char **argv, CliOptions &options)
         } else if (arg == "--exact") {
             corpus.oracle.seer.exact_datapath = true;
         } else if (arg == "--runs") {
-            corpus.oracle.input_runs = static_cast<int>(
-                args.positiveValue("workload runs"));
+            corpus.oracle.input_runs =
+                args.positiveValue<int>("workload runs");
         } else if (arg == "--input-seed") {
-            corpus.oracle.input_seed =
-                static_cast<uint64_t>(args.intValue());
+            corpus.oracle.input_seed = args.intValue<uint64_t>();
         } else if (arg == "--deadline") {
             double deadline = args.doubleValue();
             if (!args.failed() && deadline < 0)
                 args.fail("--deadline must be >= 0");
             corpus.oracle.deadline_seconds = deadline;
         } else if (arg == "-j" || arg == "--jobs") {
-            int64_t jobs = args.intValue();
-            if (!args.failed() && jobs < 0)
-                args.fail("--jobs must be >= 0");
-            corpus.jobs = jobs == 0 ? seer::hardwareThreads()
-                                    : static_cast<unsigned>(jobs);
+            unsigned jobs = args.intValue<unsigned>();
+            corpus.jobs = jobs == 0 ? seer::hardwareThreads() : jobs;
         } else if (arg == "--max-stmts") {
-            corpus.shape.max_top_statements = static_cast<int>(
-                args.positiveValue("program size"));
+            corpus.shape.max_top_statements =
+                args.positiveValue<int>("program size");
         } else if (arg == "--buffer-size") {
-            corpus.shape.buffer_size = static_cast<int>(
-                args.positiveValue("memref capacity"));
+            corpus.shape.buffer_size =
+                args.positiveValue<int>("memref capacity");
         } else if (arg == "--max-trip") {
-            corpus.shape.max_trip = static_cast<int>(
-                args.positiveValue("trip count"));
+            corpus.shape.max_trip =
+                args.positiveValue<int>("trip count");
         } else if (arg == "--nested-loops") {
             corpus.shape.allow_nested_loops = true;
         } else if (arg == "--min-max") {
@@ -169,8 +163,7 @@ parseArgs(int argc, char **argv, CliOptions &options)
         } else if (arg == "--chaos") {
             corpus.chaos = true;
         } else if (arg == "--chaos-seed") {
-            corpus.chaos_seed =
-                static_cast<uint64_t>(args.intValue());
+            corpus.chaos_seed = args.intValue<uint64_t>();
         } else if (arg == "--chaos-rate") {
             double rate = args.doubleValue();
             if (!args.failed() && (rate < 0 || rate > 1))

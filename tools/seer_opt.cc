@@ -206,8 +206,8 @@ parseArgs(int argc, char **argv, CliOptions &options)
                 args.fail("--unroll must be >= 0");
             options.seer.unroll_max_trip = trip;
         } else if (arg == "--phases") {
-            options.seer.max_phases = static_cast<int>(
-                args.positiveValue("interleaved phases"));
+            options.seer.max_phases =
+                args.positiveValue<int>("interleaved phases");
         } else if (arg == "--passes") {
             options.fixed_passes = args.value();
         } else if (arg == "--verify") {
@@ -217,10 +217,8 @@ parseArgs(int argc, char **argv, CliOptions &options)
         } else if (arg == "--stats") {
             options.stats_file = args.value();
         } else if (arg == "-j" || arg == "--jobs") {
-            int64_t jobs = args.intValue();
-            if (!args.failed() && jobs < 1)
-                args.fail("--jobs must be >= 1");
-            options.seer.jobs = static_cast<unsigned>(jobs);
+            options.seer.jobs =
+                args.positiveValue<unsigned>("worker threads");
         } else if (seer::cli::handleScheduleFlag(args, arg,
                                                  options.seer)) {
             // --schedule / --eval-budget / --schedule-seed handled.
